@@ -258,15 +258,14 @@ func BenchmarkTrajectoryMixture(b *testing.B) {
 		res := geo.BuildCircuit(depth)
 		engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
 		st := sim.NewState(geo.TotalQubits)
-		initial := make([]complex128, st.Dim())
-		initial[0] = 1
 		out := make([]float64, 1<<uint(len(geo.OutReg)))
 		rng := sim.NewSampler(21, 42).Rand()
 		opts := noise.MixtureOpts{Trajectories: traj, Measure: geo.OutReg}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			engine.MixtureInto(out, st, initial, opts, rng)
+			st.SetBasis(0)
+			engine.MixtureInto(out, st, opts, rng)
 		}
 	}
 	b.Run("qfa-d3-k32", func(b *testing.B) {
@@ -294,17 +293,17 @@ func BenchmarkTrajectoryMixtureSteadyState(b *testing.B) {
 	res := geo.BuildCircuit(3)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
 	st := sim.NewState(geo.TotalQubits)
-	initial := make([]complex128, st.Dim())
-	initial[0] = 1
 	out := make([]float64, 1<<uint(len(geo.OutReg)))
 	rng := sim.NewSampler(21, 42).Rand()
 	opts := noise.MixtureOpts{Trajectories: 32, Measure: geo.OutReg}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	engine.MixtureInto(out, st, initial, opts, rng) // warm the pools
+	st.SetBasis(0)
+	engine.MixtureInto(out, st, opts, rng) // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.MixtureInto(out, st, initial, opts, rng)
+		st.SetBasis(0)
+		engine.MixtureInto(out, st, opts, rng)
 	}
 }
 
@@ -319,19 +318,19 @@ func BenchmarkTrajectoryMixtureBatch(b *testing.B) {
 	res := geo.BuildCircuit(3)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
 	st := sim.NewState(geo.TotalQubits)
-	initial := make([]complex128, st.Dim())
-	initial[0] = 1
 	out := make([]float64, 1<<uint(len(geo.OutReg)))
 	opts := noise.MixtureOpts{Trajectories: 32, Measure: geo.OutReg}
 	for _, batch := range []int{1, 2, 3, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("qfa-d3-k32-b%d", batch), func(b *testing.B) {
 			rng := sim.NewSampler(21, 42).Rand()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			engine.MixtureBatchInto(out, st, initial, opts, rng, batch) // warm the pools
+			st.SetBasis(0)
+			engine.MixtureBatchInto(out, st, opts, rng, batch) // warm the pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				engine.MixtureBatchInto(out, st, initial, opts, rng, batch)
+				st.SetBasis(0)
+				engine.MixtureBatchInto(out, st, opts, rng, batch)
 			}
 		})
 	}

@@ -121,7 +121,7 @@ func runAblateRouting(args []string) {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|"))
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory-batch backend; 0 = auto)")
+	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory backend; 0 = auto, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory (per-topology checkpoints)")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed topologies")
 	shardStr := fs.String("shard", "", "run shard i/N of the topologies (requires -rundir, merge with merge-runs)")
@@ -228,7 +228,7 @@ func runScaling(args []string) {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|")+" (density caps n at 5)")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory-batch backend; 0 = auto)")
+	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory backend; 0 = auto, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory (per-point checkpoints)")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
 	shardStr := fs.String("shard", "", "run shard i/N of the grid (requires -rundir, merge with merge-runs)")
@@ -399,8 +399,6 @@ func runShor(args []string) {
 	}
 	fmt.Printf("ideal peaks: %d outcomes carrying all probability\n", len(peaks))
 	fmt.Printf("%-14s %-14s %-12s %-12s\n", "λ1q=λ2q/5", "λ2q", "w0", "peak mass")
-	initial := make([]complex128, 1<<uint(lay.Total))
-	initial[0] = 1
 	for _, p2 := range []float64{0, 0.0001, 0.0003, 0.001, 0.003, 0.01} {
 		model := noise.Noiseless
 		if p2 > 0 {
@@ -409,7 +407,8 @@ func runShor(args []string) {
 		engine := noise.NewEngine(res, model)
 		dist := make([]float64, 1<<uint(*tbits))
 		rng := rand.New(rand.NewPCG(1, uint64(p2*1e9)))
-		engine.MixtureInto(dist, st, initial, noise.MixtureOpts{
+		st.SetBasis(0)
+		engine.MixtureInto(dist, st, noise.MixtureOpts{
 			Trajectories: *traj, Measure: lay.Phase,
 		}, rng)
 		mass := 0.0

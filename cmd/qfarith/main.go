@@ -163,7 +163,7 @@ func newRunnerOrExit(backendName string, workers, batch int) *backend.Runner {
 	if batch > 0 {
 		bs, ok := b.(backend.BatchSizer)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "-batch requires a batching backend (have %q; use -backend trajectory-batch)\n", backendName)
+			fmt.Fprintf(os.Stderr, "-batch requires a batching backend (have %q; use -backend trajectory)\n", backendName)
 			exit(2)
 		}
 		bs.SetBatchLanes(batch)
@@ -296,7 +296,7 @@ func parseSweepFlags(args []string, name string) sweepFlags {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|"))
 	workers := fs.Int("workers", 0, "worker-pool size shared across points and instances (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories simulated per SoA batch (trajectory-batch backend; 0 = auto-size to cache)")
+	batch := fs.Int("batch", 0, "trajectories simulated per SoA batch (trajectory backend; 0 = auto-size to cache, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
 	shardStr := fs.String("shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
@@ -716,7 +716,8 @@ func runDemo() {
 	}
 	dist := make([]float64, 256)
 	rng := sim.NewSampler(12345, 678)
-	engine.MixtureInto(dist, st, initial, noise.MixtureOpts{Trajectories: 64, Measure: geo.OutReg}, rng.Rand())
+	st.SetAmplitudes(initial)
+	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 64, Measure: geo.OutReg}, rng.Rand())
 	counts := rng.Counts(dist, 2048)
 	correct := metrics.CorrectSums(xs, ys, 8)
 	fmt.Printf("addends x∈%v, y∈%v; correct sums: %v\n", xs, ys, keys(correct))

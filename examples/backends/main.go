@@ -1,9 +1,9 @@
 // Backends: tour of the pluggable execution-backend layer. One small
 // noisy Fourier addition is evaluated by every backend in the registry
 // — discovered through backend.Names(), not hardcoded, so backends
-// added later show up here automatically. The two trajectory engines
-// (scalar and SoA-batched) are then pinned against each other: for
-// equal seeds their distributions must match bit for bit at every
+// added later show up here automatically. The trajectory backend's
+// batched engine is then pinned against its scalar engine (one lane):
+// for equal seeds their distributions must match bit for bit at every
 // batch width. The second half runs a panel sweep through a shared
 // Runner and cancels it mid-grid, demonstrating that one bounded
 // worker pool serves point- and instance-level parallelism and unwinds
@@ -30,13 +30,11 @@ func main() {
 	geo := experiment.AddGeometry(3, 4)
 	res := geo.BuildCircuit(qft.Full)
 	x, y := 5, 11
-	initial := make([]complex128, 1<<uint(geo.TotalQubits))
-	initial[x|y<<3] = 1
 	want := (x + y) & 15
 	spec := backend.PointSpec{
 		Circuit: res,
 		Model:   noise.PaperModel(0.002, 0.01),
-		Initial: initial,
+		Initial: []backend.Amp{{Index: x | y<<3, Value: 1}},
 		Measure: geo.OutReg,
 		Seed1:   42, Seed2: 43,
 	}
@@ -83,27 +81,30 @@ func main() {
 	fmt.Printf("%-24s %12.4f %14s\n", "density (exact)", exact[want], "—")
 
 	// The batched engine is not "close to" the scalar engine — it is the
-	// same computation. Assert bit-identity at several batch widths.
+	// same computation. Assert bit-identity at several batch widths, with
+	// one lane (the scalar engine) as the reference.
 	spec.Trajectories = 512
-	ref, _, err := trajB.Run(context.Background(), spec)
+	scalar := backend.NewTrajectoryBackend()
+	scalar.SetBatchLanes(1)
+	ref, _, err := scalar.Run(context.Background(), spec)
 	if err != nil {
 		panic(err)
 	}
-	for _, lanes := range []int{0, 1, 4, 8} {
-		bb, _ := backend.New("trajectory-batch")
-		bb.(backend.BatchSizer).SetBatchLanes(lanes)
+	for _, lanes := range []int{0, 2, 4, 8} {
+		bb := backend.NewTrajectoryBackend()
+		bb.SetBatchLanes(lanes)
 		dist, _, err := bb.Run(context.Background(), spec)
 		if err != nil {
 			panic(err)
 		}
 		for i := range dist {
 			if math.Float64bits(dist[i]) != math.Float64bits(ref[i]) {
-				panic(fmt.Sprintf("trajectory-batch (lanes=%d) diverged from trajectory at outcome %d: %g vs %g",
+				panic(fmt.Sprintf("trajectory (lanes=%d) diverged from the scalar engine at outcome %d: %g vs %g",
 					lanes, i, dist[i], ref[i]))
 			}
 		}
 	}
-	fmt.Println("\ntrajectory-batch == trajectory bit-for-bit at lanes 0 (auto), 1, 4, 8")
+	fmt.Println("\ntrajectory == scalar engine bit-for-bit at lanes 0 (auto), 2, 4, 8")
 
 	// A cancellable panel sweep on a shared Runner: cancel after the
 	// third completed point and show the sweep stops mid-grid.

@@ -62,7 +62,8 @@ func TestQASMRoundTripThroughNoiseEngine(t *testing.T) {
 	x, y := 77, 123
 	initial[x|y<<7] = 1
 	dist := make([]float64, 256)
-	engine.MixtureInto(dist, st, initial, noise.MixtureOpts{Trajectories: 1, Measure: arith.Range(7, 8)}, nil)
+	st.SetAmplitudes(initial)
+	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 1, Measure: arith.Range(7, 8)}, nil)
 	if math.Abs(dist[(x+y)&255]-1) > 1e-9 {
 		t.Errorf("round-tripped QFA wrong: P(correct) = %g", dist[(x+y)&255])
 	}
@@ -186,7 +187,8 @@ func TestMitigationInsideMetricPipeline(t *testing.T) {
 	x, y := 5, 9
 	initial[x|y<<3] = 1
 	dist := make([]float64, 16)
-	engine.MixtureInto(dist, st, initial, noise.MixtureOpts{Trajectories: 1, Measure: geo.OutReg}, nil)
+	st.SetAmplitudes(initial)
+	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 1, Measure: geo.OutReg}, nil)
 	noisy := noise.ApplyReadoutError(dist, 0.25)
 	fixed, err := noise.MitigateReadout(noisy, 0.25)
 	if err != nil {

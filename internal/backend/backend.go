@@ -1,15 +1,23 @@
 // Package backend is the unified execution layer: it owns how a single
 // prepared circuit execution ("point spec") is evaluated under noise,
-// behind a pluggable Backend interface. Three implementations ship:
+// behind a pluggable Backend interface. Two implementations ship:
 //
-//   - TrajectoryBackend — the stratified Pauli-trajectory mixture engine
-//     (internal/noise), the default and the only choice at large widths;
-//   - BatchTrajectoryBackend — the same mixture engine simulating
-//     trajectories in structure-of-arrays batches ("trajectory-batch"),
-//     bit-identical to TrajectoryBackend for equal seeds;
+//   - TrajectoryBackend ("trajectory", the default and the only choice
+//     at large widths) — the stratified Pauli-trajectory mixture engine
+//     (internal/noise). Noisy runs simulate their trajectories in
+//     structure-of-arrays batches sized by sim.DefaultBatchLanes,
+//     bit-identical to the scalar engine for equal seeds; SetBatchLanes
+//     overrides the width and 1 selects the scalar engine.
+//     "trajectory-batch" is a registry alias for the same backend, kept
+//     so run directories that recorded that name still resume;
 //   - DensityBackend — exact density-matrix channel evolution
 //     (internal/density), quadratically more expensive but Monte-Carlo
 //     free, usable as ground truth at small register widths.
+//
+// Inputs are sparse (PointSpec.Initial lists the nonzero amplitudes), so
+// a trajectory run holds one 2^n statevector — the input, advanced in
+// place as the error-free prefix — plus the batch lanes, and no dense
+// copy of the input.
 //
 // The package also provides a Runner (one bounded worker pool shared
 // across every parallelism level of a sweep, with context cancellation)
@@ -23,10 +31,12 @@ package backend
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
 	"qfarith/internal/noise"
+	"qfarith/internal/sim"
 	"qfarith/internal/transpile"
 )
 
@@ -46,9 +56,10 @@ type PointSpec struct {
 	Circuit *transpile.Result
 	// Model is the depolarizing gate-noise model.
 	Model noise.Model
-	// Initial holds the prepared input amplitudes (length 2^NumQubits).
-	// nil means the all-zeros basis state.
-	Initial []complex128
+	// Initial lists the prepared input's nonzero amplitudes, with
+	// distinct indices; backends normalize the state they describe.
+	// Empty means the all-zeros basis state.
+	Initial []Amp
 	// Measure lists the measured qubits, LSB first. The returned
 	// Distribution has length 2^len(Measure).
 	Measure []int
@@ -60,6 +71,13 @@ type PointSpec struct {
 	Seed1, Seed2 uint64
 }
 
+// Amp is one term of a sparse input state: amplitude Value on the
+// computational basis state Index.
+type Amp struct {
+	Index int
+	Value complex128
+}
+
 // validate rejects malformed specs with a descriptive error.
 func (s PointSpec) validate() error {
 	if s.Circuit == nil {
@@ -68,11 +86,39 @@ func (s PointSpec) validate() error {
 	if len(s.Measure) == 0 {
 		return fmt.Errorf("backend: PointSpec.Measure is empty")
 	}
-	if s.Initial != nil && len(s.Initial) != 1<<uint(s.Circuit.NumQubits) {
-		return fmt.Errorf("backend: initial state has %d amplitudes, circuit has %d qubits",
-			len(s.Initial), s.Circuit.NumQubits)
+	n := s.Circuit.NumQubits
+	var norm2 float64
+	for i, a := range s.Initial {
+		if a.Index < 0 || a.Index >= 1<<uint(n) {
+			return fmt.Errorf("backend: initial term %d has index %d, outside [0, 2^%d)", i, a.Index, n)
+		}
+		for _, b := range s.Initial[:i] {
+			if b.Index == a.Index {
+				return fmt.Errorf("backend: initial term %d repeats index %d", i, a.Index)
+			}
+		}
+		norm2 += real(a.Value)*real(a.Value) + imag(a.Value)*imag(a.Value)
+	}
+	if len(s.Initial) > 0 && !(norm2 > 0 && norm2 <= math.MaxFloat64) {
+		return fmt.Errorf("backend: initial state has squared norm %g over %d terms, want finite and nonzero", norm2, len(s.Initial))
 	}
 	return nil
+}
+
+// prepare loads the spec's input state into st: the Initial terms on a
+// zeroed state, normalized. The result is bit-identical to SetAmplitudes
+// on the equivalent dense vector, whose zeros add exactly 0 to the norm.
+func (s PointSpec) prepare(st *sim.State) {
+	if len(s.Initial) == 0 {
+		st.SetBasis(0)
+		return
+	}
+	amps := st.Amps()
+	clear(amps)
+	for _, a := range s.Initial {
+		amps[a.Index] = a.Value
+	}
+	st.Normalize()
 }
 
 // Diagnostics reports execution metadata alongside a distribution.
@@ -109,7 +155,7 @@ var (
 	registryMu sync.RWMutex
 	registry   = map[string]func() Backend{
 		"trajectory":       func() Backend { return NewTrajectoryBackend() },
-		"trajectory-batch": func() Backend { return NewBatchTrajectoryBackend() },
+		"trajectory-batch": func() Backend { return NewTrajectoryBackend() },
 		"density":          func() Backend { return NewDensityBackend() },
 	}
 )

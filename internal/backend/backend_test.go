@@ -2,13 +2,16 @@ package backend_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"qfarith/internal/backend"
 	"qfarith/internal/experiment"
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
+	"qfarith/internal/telemetry"
 )
 
 // smallSpec builds a 5-qubit 2+3 adder instance spec: small enough for
@@ -16,14 +19,14 @@ import (
 func smallSpec(trajectories int) backend.PointSpec {
 	geo := experiment.AddGeometry(2, 3)
 	res := geo.BuildCircuit(qft.Full)
-	initial := make([]complex128, 1<<uint(geo.TotalQubits))
 	// 1:2 instance — x = 2, y ∈ {1, 6}.
-	initial[2|1<<2] = complex(1/math.Sqrt2, 0)
-	initial[2|6<<2] = complex(1/math.Sqrt2, 0)
 	return backend.PointSpec{
-		Circuit:      res,
-		Model:        noise.PaperModel(0.004, 0.02),
-		Initial:      initial,
+		Circuit: res,
+		Model:   noise.PaperModel(0.004, 0.02),
+		Initial: []backend.Amp{
+			{Index: 2 | 1<<2, Value: complex(1/math.Sqrt2, 0)},
+			{Index: 2 | 6<<2, Value: complex(1/math.Sqrt2, 0)},
+		},
 		Measure:      geo.OutReg,
 		Trajectories: trajectories,
 		Seed1:        101, Seed2: 202,
@@ -40,8 +43,12 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if b.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, b.Name())
+		want := name
+		if name == "trajectory-batch" {
+			want = "trajectory" // alias kept for recorded run directories
+		}
+		if b.Name() != want {
+			t.Errorf("New(%q).Name() = %q, want %q", name, b.Name(), want)
 		}
 	}
 	if b, err := backend.New(""); err != nil || b.Name() != backend.DefaultName {
@@ -52,21 +59,40 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestSpecValidation: malformed specs, including every way the sparse
+// input can be malformed, fail with a descriptive error on every
+// backend — never a panic inside state preparation.
 func TestSpecValidation(t *testing.T) {
-	b := backend.NewTrajectoryBackend()
-	ctx := context.Background()
-	if _, _, err := b.Run(ctx, backend.PointSpec{}); err == nil {
-		t.Error("nil circuit accepted")
+	withInitial := func(terms ...backend.Amp) backend.PointSpec {
+		spec := smallSpec(1)
+		spec.Initial = terms
+		return spec
 	}
-	spec := smallSpec(1)
-	spec.Measure = nil
-	if _, _, err := b.Run(ctx, spec); err == nil {
-		t.Error("empty measure register accepted")
+	noMeasure := smallSpec(1)
+	noMeasure.Measure = nil
+	cases := []struct {
+		name, want string
+		spec       backend.PointSpec
+	}{
+		{"nil circuit", "Circuit is nil", backend.PointSpec{}},
+		{"empty measure", "Measure is empty", noMeasure},
+		{"negative index", "index -1, outside [0, 2^5)", withInitial(backend.Amp{Index: -1, Value: 1})},
+		{"index past register", "index 32, outside [0, 2^5)", withInitial(backend.Amp{Index: 3, Value: 1}, backend.Amp{Index: 32, Value: 1})},
+		{"all-zero terms", "squared norm 0 over 2 terms", withInitial(backend.Amp{Index: 1}, backend.Amp{Index: 3})},
+		{"non-finite term", "want finite and nonzero", withInitial(backend.Amp{Index: 1, Value: complex(math.Inf(1), 0)})},
+		{"repeated index", "term 1 repeats index 4", withInitial(backend.Amp{Index: 4, Value: 1}, backend.Amp{Index: 4, Value: 1})},
 	}
-	spec = smallSpec(1)
-	spec.Initial = spec.Initial[:4]
-	if _, _, err := b.Run(ctx, spec); err == nil {
-		t.Error("wrong-length initial state accepted")
+	for _, name := range []string{"trajectory", "density"} {
+		b, err := backend.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			_, _, err := b.Run(context.Background(), c.spec)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s/%s: err = %v, want it to mention %q", name, c.name, err, c.want)
+			}
+		}
 	}
 }
 
@@ -169,33 +195,68 @@ func TestDensityMatchesTrajectory(t *testing.T) {
 	}
 }
 
-// TestBatchTrajectoryBitIdenticalToScalar pins the batched backend's
-// core contract: for equal seeds, "trajectory-batch" returns the exact
-// bytes "trajectory" returns — at automatic sizing and at several fixed
-// batch widths, including widths above the trajectory count.
-func TestBatchTrajectoryBitIdenticalToScalar(t *testing.T) {
-	spec := smallSpec(48)
-	want, wantDiag, err := backend.NewTrajectoryBackend().Run(context.Background(), spec)
+// TestDefaultEngineBitIdenticalToScalar pins the default backend's core
+// contract on the paper's Fig. 3 adder (15 qubits, K = 24, λ2 = 1%):
+// backend.New("") runs the batched engine, and for equal seeds it
+// returns the exact bytes the scalar engine (one lane) returns — at
+// automatic sizing, at several fixed widths, and under the
+// "trajectory-batch" alias.
+func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
+	geo := experiment.PaperAddGeometry()
+	var initial []backend.Amp
+	for _, x := range []int{19, 100} {
+		for _, y := range []int{7, 200} {
+			initial = append(initial, backend.Amp{Index: x | y<<7, Value: 0.5})
+		}
+	}
+	spec := backend.PointSpec{
+		Circuit:      geo.BuildCircuit(3),
+		Model:        noise.PaperModel(0.002, 0.01),
+		Initial:      initial,
+		Measure:      geo.OutReg,
+		Trajectories: 24,
+		Seed1:        7, Seed2: 8,
+	}
+	scalar := backend.NewTrajectoryBackend()
+	scalar.SetBatchLanes(1)
+	want, wantDiag, err := scalar.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lanes := range []int{0, 1, 2, 3, 8, 64} {
-		bb := backend.NewBatchTrajectoryBackend()
-		bb.SetBatchLanes(lanes)
-		got, diag, err := bb.Run(context.Background(), spec)
+	batches := func() uint64 { return telemetry.Default().CounterSum("qfarith_mixture_batches_total") }
+
+	check := func(label string, b backend.Backend) {
+		t.Helper()
+		before := batches()
+		got, diag, err := b.Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		if diag.Backend != "trajectory-batch" {
-			t.Fatalf("lanes=%d: diagnostics name %q", lanes, diag.Backend)
+		if batches() == before {
+			t.Errorf("%s: ran no SoA batch; the default engine must batch at 15 qubits", label)
+		}
+		if diag.Backend != backend.DefaultName {
+			t.Errorf("%s: diagnostics name %q", label, diag.Backend)
 		}
 		for i := range want {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("lanes=%d: dist[%d] = %g, scalar %g", lanes, i, got[i], want[i])
+				t.Fatalf("%s: dist[%d] = %g, scalar %g", label, i, got[i], want[i])
 			}
 			if math.Float64bits(wantDiag.Ideal[i]) != math.Float64bits(diag.Ideal[i]) {
-				t.Fatalf("lanes=%d: ideal[%d] = %g, scalar %g", lanes, i, diag.Ideal[i], wantDiag.Ideal[i])
+				t.Fatalf("%s: ideal[%d] = %g, scalar %g", label, i, diag.Ideal[i], wantDiag.Ideal[i])
 			}
 		}
+	}
+	for _, name := range []string{"", "trajectory-batch"} {
+		b, err := backend.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("New(%q)", name), b)
+	}
+	for _, lanes := range []int{2, 3, 8} {
+		b := backend.NewTrajectoryBackend()
+		b.SetBatchLanes(lanes)
+		check(fmt.Sprintf("lanes=%d", lanes), b)
 	}
 }

@@ -40,22 +40,25 @@ func (d *DensityBackend) Run(ctx context.Context, spec PointSpec) (Distribution,
 			density.MaxQubits, n)
 	}
 
+	// Expand the sparse input: at these widths a dense copy is cheap
+	// next to the 4^n density matrix.
+	initial := make([]complex128, 1<<uint(n))
+	if len(spec.Initial) == 0 {
+		initial[0] = 1
+	}
+	for _, a := range spec.Initial {
+		initial[a.Index] = a.Value
+	}
+
 	// Error-free reference distribution via the statevector simulator.
 	st := sim.NewState(n)
-	if spec.Initial != nil {
-		st.SetAmplitudes(spec.Initial)
-	}
+	st.SetAmplitudes(initial)
 	for _, op := range spec.Circuit.Source {
 		st.ApplyOp(op)
 	}
 	ideal := Distribution(st.RegisterProbs(spec.Measure))
 
-	var rho *density.Matrix
-	if spec.Initial != nil {
-		rho = density.FromPure(spec.Initial)
-	} else {
-		rho = density.New(n)
-	}
+	rho := density.FromPure(initial)
 	density.RunNoisy(rho, spec.Circuit, spec.Model)
 	dist := Distribution(rho.RegisterProbs(spec.Measure))
 

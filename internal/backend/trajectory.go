@@ -31,7 +31,10 @@ var (
 // trajectory mixture engine (internal/noise): the no-error stratum is
 // exact and the conditional (≥1 error) remainder is Monte Carlo over
 // spec.Trajectories samples. It is the default backend and the one that
-// reproduces the paper's per-shot noise semantics.
+// reproduces the paper's per-shot noise semantics. Trajectories run
+// through noise.MixtureBatchInto, batched at the configured lane count;
+// the engine itself falls back to the scalar path for one lane, one
+// trajectory or a noiseless model.
 //
 // The backend caches noise engines per (circuit, model) pair in an LRU
 // of maxCachedEngines entries, so the per-circuit precomputation (error
@@ -44,6 +47,9 @@ type TrajectoryBackend struct {
 	hits      int
 	misses    int
 	evictions int
+	// batch is the configured lane count; 0 selects the automatic
+	// cache-sized width (sim.DefaultBatchLanes) per circuit.
+	batch int
 }
 
 type engineKey struct {
@@ -121,26 +127,20 @@ func (t *TrajectoryBackend) EngineCacheLen() int {
 	return t.order.Len()
 }
 
-// runScratch holds the |0...0> preparation buffer a Run call needs when
-// the spec carries no explicit initial state.
-type runScratch struct {
-	initial []complex128
+// SetBatchLanes implements BatchSizer: lanes > 0 fixes the number of
+// trajectories simulated per structure-of-arrays batch (1 selects the
+// scalar engine), 0 restores the per-circuit automatic width
+// sim.DefaultBatchLanes. Call it before the backend runs specs.
+func (t *TrajectoryBackend) SetBatchLanes(lanes int) {
+	t.batch = max(lanes, 0)
 }
-
-var runPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // Run implements Backend. The RNG stream is fully determined by
 // (Seed1, Seed2), so equal specs give bit-identical distributions
-// regardless of scheduling. The statevector and preparation buffers are
-// pooled; only the returned distributions are freshly allocated.
+// regardless of scheduling or batch width. The statevector and batch
+// lanes are pooled; only the returned distributions are freshly
+// allocated.
 func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distribution, Diagnostics, error) {
-	return t.runWith(ctx, spec, t.Name(), 1)
-}
-
-// runWith evaluates spec through the mixture engine, simulating up to
-// `batch` conditional trajectories at a time (batch <= 1 selects the
-// scalar path; both paths are bit-identical for equal seeds).
-func (t *TrajectoryBackend) runWith(ctx context.Context, spec PointSpec, name string, batch int) (Distribution, Diagnostics, error) {
 	if err := spec.validate(); err != nil {
 		return nil, Diagnostics{}, err
 	}
@@ -148,76 +148,29 @@ func (t *TrajectoryBackend) runWith(ctx context.Context, spec PointSpec, name st
 		return nil, Diagnostics{}, err
 	}
 	engine := t.engine(spec.Circuit, spec.Model)
-	st := sim.GetScratchState(spec.Circuit.NumQubits)
-	defer sim.PutScratchState(st)
-	initial := spec.Initial
-	if initial == nil {
-		sc := runPool.Get().(*runScratch)
-		defer runPool.Put(sc)
-		if cap(sc.initial) < st.Dim() {
-			sc.initial = make([]complex128, st.Dim())
-		}
-		initial = sc.initial[:st.Dim()]
-		for i := range initial {
-			initial[i] = 0
-		}
-		initial[0] = 1
+	n := spec.Circuit.NumQubits
+	batch := t.batch
+	if batch == 0 {
+		batch = sim.DefaultBatchLanes(n)
 	}
+	st := sim.GetScratchState(n)
+	defer sim.PutScratchState(st)
+	spec.prepare(st)
 	dist := make(Distribution, 1<<uint(len(spec.Measure)))
 	ideal := make(Distribution, len(dist))
 	rng := rand.New(rand.NewPCG(spec.Seed1, spec.Seed2))
-	engine.MixtureBatchInto(dist, st, initial, noise.MixtureOpts{
+	engine.MixtureBatchInto(dist, st, noise.MixtureOpts{
 		Trajectories: spec.Trajectories,
 		Measure:      spec.Measure,
 		IdealOut:     ideal,
 	}, rng, batch)
 	diag := Diagnostics{
-		Backend:        name,
+		Backend:        t.Name(),
 		NoErrorProb:    engine.NoErrorProb(),
 		ExpectedErrors: engine.ExpectedErrors(),
 		Ideal:          ideal,
 	}
 	return dist, diag, nil
-}
-
-// BatchTrajectoryBackend evaluates point specs with the same stratified
-// mixture engine as TrajectoryBackend but simulates trajectories in
-// structure-of-arrays batches (noise.MixtureBatchInto). Results are
-// bit-identical to the scalar backend for equal seeds; only the
-// wall-clock profile differs. It shares the engine LRU implementation
-// (and its telemetry) through the embedded TrajectoryBackend.
-type BatchTrajectoryBackend struct {
-	*TrajectoryBackend
-	// batch is the configured lane count; 0 selects the automatic
-	// cache-sized width (sim.DefaultBatchLanes) per circuit.
-	batch int
-}
-
-// NewBatchTrajectoryBackend returns a batched trajectory backend with
-// an empty engine cache and automatic batch sizing.
-func NewBatchTrajectoryBackend() *BatchTrajectoryBackend {
-	return &BatchTrajectoryBackend{TrajectoryBackend: NewTrajectoryBackend()}
-}
-
-// Name implements Backend.
-func (b *BatchTrajectoryBackend) Name() string { return "trajectory-batch" }
-
-// SetBatchLanes implements BatchSizer: lanes > 0 fixes the batch width,
-// 0 restores automatic sizing.
-func (b *BatchTrajectoryBackend) SetBatchLanes(lanes int) {
-	if lanes < 0 {
-		lanes = 0
-	}
-	b.batch = lanes
-}
-
-// Run implements Backend.
-func (b *BatchTrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distribution, Diagnostics, error) {
-	batch := b.batch
-	if batch == 0 && spec.Circuit != nil {
-		batch = sim.DefaultBatchLanes(spec.Circuit.NumQubits)
-	}
-	return b.runWith(ctx, spec, b.Name(), batch)
 }
 
 // BatchSizer is implemented by backends whose trajectory batch width is

@@ -108,7 +108,8 @@ func TestTrajectoryEngineConvergesToDensity(t *testing.T) {
 	st := sim.NewState(5)
 	dist := make([]float64, 8)
 	rng := testutil.NewRand(7)
-	engine.MixtureInto(dist, st, initAmps, noise.MixtureOpts{
+	st.SetAmplitudes(initAmps)
+	engine.MixtureInto(dist, st, noise.MixtureOpts{
 		Trajectories: 12000,
 		Measure:      arith.Range(2, 3),
 	}, rng)

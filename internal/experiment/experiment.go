@@ -246,15 +246,14 @@ func (cfg PointConfig) instanceOperands(idx int) (xs, ys []int) {
 	return
 }
 
-// initialAmps writes the product-state amplitudes for the given operand
-// superpositions into buf (cleared first): equal magnitudes, zero phase,
-// matching the paper's evenly-distributed probability amplitudes.
-func (cfg PointConfig) initialAmps(buf []complex128, xs, ys []int) {
-	for i := range buf {
-		buf[i] = 0
-	}
+// initialTerms writes the product-state input for the given operand
+// superpositions into buf[:0] and returns it: one term per operand pair,
+// equal magnitudes, zero phase, matching the paper's evenly-distributed
+// probability amplitudes.
+func (cfg PointConfig) initialTerms(buf []backend.Amp, xs, ys []int) []backend.Amp {
 	g := cfg.Geometry
 	amp := complex(1/math.Sqrt(float64(len(xs)*len(ys))), 0)
+	buf = buf[:0]
 	for _, x := range xs {
 		for _, y := range ys {
 			var idx int
@@ -265,9 +264,10 @@ func (cfg PointConfig) initialAmps(buf []complex128, xs, ys []int) {
 				// z starts at 0; y then x above it.
 				idx = y<<uint(g.OutBits) | x<<uint(g.OutBits+g.YBits)
 			}
-			buf[idx] = amp
+			buf = append(buf, backend.Amp{Index: idx, Value: amp})
 		}
 	}
+	return buf
 }
 
 // correctSet returns the expected output values for the operands.
@@ -407,20 +407,19 @@ func runPointOn(ctx context.Context, r *backend.Runner, cfg PointConfig, res *tr
 
 // runInstance evaluates one operand instance through the backend and
 // scores the sampled shots with the paper's metric. Every per-instance
-// buffer — the 2^n initial-amplitude vector and the sampling/scoring
-// tail's histogram, correct-set, and sampler — comes from the instance
-// scratch pool, so a warm sweep allocates nothing here beyond what the
-// backend returns.
+// buffer — the sparse input terms and the sampling/scoring tail's
+// histogram, correct-set, and sampler — comes from the instance scratch
+// pool, so a warm sweep allocates nothing here beyond what the backend
+// returns.
 func (cfg PointConfig) runInstance(ctx context.Context, b backend.Backend, res *transpile.Result, idx int, srun *scorerRun) (metrics.InstanceResult, backend.Diagnostics, error) {
 	xs, ys := cfg.instanceOperands(idx)
 	sc := getInstanceScratch()
 	defer putInstanceScratch(sc)
-	initial := sc.amps(1 << uint(cfg.Geometry.TotalQubits))
-	cfg.initialAmps(initial, xs, ys)
+	sc.terms = cfg.initialTerms(sc.terms, xs, ys)
 	dist, diag, err := b.Run(ctx, backend.PointSpec{
 		Circuit:      res,
 		Model:        cfg.Model,
-		Initial:      initial,
+		Initial:      sc.terms,
 		Measure:      cfg.Geometry.OutReg,
 		Trajectories: cfg.Trajectories,
 		Seed1:        splitSeed(cfg.PointSeed, uint64(idx)),

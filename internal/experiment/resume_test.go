@@ -5,22 +5,60 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"qfarith/internal/backend"
 	"qfarith/internal/experiment"
+	"qfarith/internal/noise"
 	"qfarith/internal/runstore"
+	"qfarith/internal/transpile"
 )
 
 func newTrajRunner(workers int) *backend.Runner {
 	return backend.NewRunner(backend.NewTrajectoryBackend(), workers)
 }
 
+// gateBackend runs the instances of the first `open` distinct points it
+// sees — a point is keyed by its circuit and noise model — and holds
+// every other instance until ctx is cancelled. A sweep through it stops
+// after exactly `open` completed points however fast the engine is,
+// provided the runner has a slot for every instance of the panel (a
+// held instance keeps its slot).
+type gateBackend struct {
+	backend.Backend
+	open int
+
+	mu     sync.Mutex
+	points map[gateKey]bool
+}
+
+type gateKey struct {
+	circuit *transpile.Result
+	model   noise.Model
+}
+
+func (g *gateBackend) Run(ctx context.Context, spec backend.PointSpec) (backend.Distribution, backend.Diagnostics, error) {
+	key := gateKey{spec.Circuit, spec.Model}
+	g.mu.Lock()
+	if !g.points[key] && len(g.points) < g.open {
+		g.points[key] = true
+	}
+	admitted := g.points[key]
+	g.mu.Unlock()
+	if !admitted {
+		<-ctx.Done()
+		return nil, backend.Diagnostics{}, ctx.Err()
+	}
+	return g.Backend.Run(ctx, spec)
+}
+
 // TestPanelResumeMatchesUninterrupted is the durable-run acceptance
 // test: cancel a checkpointed panel after N completed points (the
 // in-process analogue of SIGINT/kill), resume from the run directory,
 // and require the merged CSV to be byte-identical to an uninterrupted
-// fixed-seed run.
+// fixed-seed run. The interrupted attempt runs behind a gateBackend, so
+// the cancel always lands with points still outstanding.
 func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 	pc := smallSweepPanel()
 	const panel = "fig3_test"
@@ -41,10 +79,13 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First attempt: cancel after 2 points have been checkpointed.
+	// First attempt: only 2 points may run; cancel once both have been
+	// checkpointed.
+	total := len(pc.Rates) * len(pc.Depths)
+	gate := &gateBackend{Backend: backend.NewTrajectoryBackend(), open: 2, points: map[gateKey]bool{}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = experiment.RunPanelCheckpointCtx(ctx, newTrajRunner(2), pc, panel, run,
+	_, err = experiment.RunPanelCheckpointCtx(ctx, backend.NewRunner(gate, total*pc.Budget.Instances), pc, panel, run,
 		func(p experiment.Progress) {
 			if p.Done >= 2 {
 				cancel()
@@ -66,7 +107,6 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 	if restored < 2 {
 		t.Fatalf("only %d points survived the interrupt, want >= 2", restored)
 	}
-	total := len(pc.Rates) * len(pc.Depths)
 	if restored >= total {
 		t.Fatalf("all %d points checkpointed — the interrupt landed too late to test resume", total)
 	}

@@ -101,14 +101,14 @@ func RunRoutedPointCtx(ctx context.Context, r *backend.Runner, cfg PointConfig, 
 		xs, ys := cfg.instanceOperands(idx)
 		sc := getInstanceScratch()
 		defer putInstanceScratch(sc)
-		logical := sc.logicalAmps(1 << uint(cfg.Geometry.TotalQubits))
-		initial := sc.amps(1 << uint(nUsed))
-		cfg.initialAmps(logical, xs, ys)
-		embedInitial(initial, logical, initLayout, cfg.Geometry.TotalQubits)
+		sc.terms = cfg.initialTerms(sc.terms, xs, ys)
+		for i := range sc.terms {
+			sc.terms[i].Index = embedIndex(sc.terms[i].Index, initLayout)
+		}
 		dist, d, err := r.Backend().Run(ctx, backend.PointSpec{
 			Circuit:      rres,
 			Model:        cfg.Model,
-			Initial:      initial,
+			Initial:      sc.terms,
 			Measure:      measure,
 			Trajectories: cfg.Trajectories,
 			Seed1:        splitSeed(cfg.PointSeed, uint64(idx)),
@@ -143,24 +143,16 @@ func RunRoutedPointCtx(ctx context.Context, r *backend.Runner, cfg PointConfig, 
 	}, nil
 }
 
-// embedInitial maps a logical amplitude vector onto the (possibly
-// wider) physical register according to the initial layout: logical
-// basis state L maps to the physical basis state with bit layout[l] set
-// for each set bit l of L. Unmapped physical qubits stay |0>.
-func embedInitial(physical, logical []complex128, initialLayout []int, logicalQubits int) {
-	for i := range physical {
-		physical[i] = 0
-	}
-	for lIdx, amp := range logical {
-		if amp == 0 {
-			continue
+// embedIndex maps a logical basis-state index onto the (possibly
+// wider) physical register according to the initial layout: the
+// physical index has bit initialLayout[l] set for each set bit l of the
+// logical index. Unmapped physical qubits stay |0>.
+func embedIndex(logical int, initialLayout []int) int {
+	p := 0
+	for l, phys := range initialLayout {
+		if logical>>uint(l)&1 == 1 {
+			p |= 1 << uint(phys)
 		}
-		p := 0
-		for l := 0; l < logicalQubits; l++ {
-			if lIdx>>uint(l)&1 == 1 {
-				p |= 1 << uint(initialLayout[l])
-			}
-		}
-		physical[p] = amp
 	}
+	return p
 }

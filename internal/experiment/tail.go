@@ -2,7 +2,7 @@
 // between the backend returning a measurement distribution and the
 // instance's InstanceResult. The tail is allocation-free at steady
 // state — sampler, sampling scratch, histogram, correct-set, and
-// initial-amplitude buffers are all pooled per instance — and is
+// input-term buffers are all pooled per instance — and is
 // instrumented end to end (qfarith_sample_seconds).
 package experiment
 
@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qfarith/internal/backend"
 	"qfarith/internal/metrics"
 	"qfarith/internal/sim"
 	"qfarith/internal/telemetry"
@@ -74,12 +75,10 @@ func SamplerMode() string {
 }
 
 // instanceScratch pools every per-instance buffer of the run/sample/
-// score tail: the 2^n initial-amplitude vector (and the routed path's
-// logical-embedding companion), the shot histogram, the sorted
+// score tail: the sparse input terms, the shot histogram, the sorted
 // correct-set, a reseedable sampler, and the sampling scratch.
 type instanceScratch struct {
-	initial []complex128
-	logical []complex128
+	terms   []backend.Amp
 	counts  []int
 	correct []int
 	sampler *sim.Sampler
@@ -95,24 +94,6 @@ var instancePool = sync.Pool{New: func() any {
 
 func getInstanceScratch() *instanceScratch   { return instancePool.Get().(*instanceScratch) }
 func putInstanceScratch(sc *instanceScratch) { instancePool.Put(sc) }
-
-// amps returns the scratch's initial-amplitude buffer resized to dim,
-// growing it only when a wider geometry comes through the pool.
-func (sc *instanceScratch) amps(dim int) []complex128 {
-	if cap(sc.initial) < dim {
-		sc.initial = make([]complex128, dim)
-	}
-	return sc.initial[:dim]
-}
-
-// logicalAmps is amps for the routed path's logical pre-embedding
-// vector.
-func (sc *instanceScratch) logicalAmps(dim int) []complex128 {
-	if cap(sc.logical) < dim {
-		sc.logical = make([]complex128, dim)
-	}
-	return sc.logical[:dim]
-}
 
 // countsBuf returns the scratch's histogram buffer resized to n.
 func (sc *instanceScratch) countsBuf(n int) []int {

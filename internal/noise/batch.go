@@ -49,8 +49,11 @@ var (
 // per-segment walk performs the same floating-point operations in the
 // same order as one scalar pass over the whole trajectory.
 //
-// batch <= 1 (or k == 1) delegates to the scalar MixtureInto.
-func (e *Engine) MixtureBatchInto(out []float64, st *sim.State, initial []complex128, opts MixtureOpts, rng *rand.Rand, batch int) {
+// st holds the prepared input on entry, as for MixtureInto, and doubles
+// as the error-free prefix, so a run holds one statevector plus the
+// batch lanes. batch <= 1 (or k == 1) delegates to the scalar
+// MixtureInto.
+func (e *Engine) MixtureBatchInto(out []float64, st *sim.State, opts MixtureOpts, rng *rand.Rand, batch int) {
 	k := opts.Trajectories
 	if k < 1 {
 		k = 1
@@ -59,7 +62,7 @@ func (e *Engine) MixtureBatchInto(out []float64, st *sim.State, initial []comple
 		batch = k
 	}
 	if batch <= 1 || k == 1 || e.w0 >= 1 {
-		e.MixtureInto(out, st, initial, opts, rng)
+		e.MixtureInto(out, st, opts, rng)
 		return
 	}
 	m := 1 << uint(len(opts.Measure))
@@ -77,12 +80,8 @@ func (e *Engine) MixtureBatchInto(out []float64, st *sim.State, initial []comple
 	sc.evEnd = grownInts(sc.evEnd, batch)
 	sc.lprob = grownFloats(sc.lprob, batch*m)
 
-	n := st.NumQubits()
-	prefix := sim.GetScratchState(n)
-	defer sim.PutScratchState(prefix)
-	prefix.SetWorkers(st.Workers())
-	prefix.SetAmplitudes(initial)
-	bs := sim.GetScratchBatch(n, batch)
+	prefix := st // the input state advances in place as the error-free prefix
+	bs := sim.GetScratchBatch(st.NumQubits(), batch)
 	defer sim.PutScratchBatch(bs)
 
 	cur := 0

@@ -10,6 +10,7 @@ import (
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
 	"qfarith/internal/sim"
+	"qfarith/internal/telemetry"
 	"qfarith/internal/testutil"
 	"qfarith/internal/transpile"
 )
@@ -50,7 +51,8 @@ func TestBatchedMixtureBitIdentical(t *testing.T) {
 		want := make([]float64, m)
 		wantIdeal := make([]float64, m)
 		st := sim.NewState(n)
-		e.MixtureInto(want, st, initial, noise.MixtureOpts{
+		st.SetAmplitudes(initial)
+		e.MixtureInto(want, st, noise.MixtureOpts{
 			Trajectories: k, Measure: measure, IdealOut: wantIdeal,
 		}, testutil.NewRand(4242))
 
@@ -58,7 +60,8 @@ func TestBatchedMixtureBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch-%d", c.name, batch), func(t *testing.T) {
 				got := make([]float64, m)
 				gotIdeal := make([]float64, m)
-				e.MixtureBatchInto(got, st, initial, noise.MixtureOpts{
+				st.SetAmplitudes(initial)
+				e.MixtureBatchInto(got, st, noise.MixtureOpts{
 					Trajectories: k, Measure: measure, IdealOut: gotIdeal,
 				}, testutil.NewRand(4242), batch)
 				for i := range got {
@@ -100,11 +103,13 @@ func TestBatchedMixtureScalarFallbacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := noise.NewEngine(res, tc.model)
 			want := make([]float64, 16)
-			e.MixtureInto(want, st, initial, noise.MixtureOpts{
+			st.SetAmplitudes(initial)
+			e.MixtureInto(want, st, noise.MixtureOpts{
 				Trajectories: tc.k, Measure: measure,
 			}, testutil.NewRand(17))
 			got := make([]float64, 16)
-			e.MixtureBatchInto(got, st, initial, noise.MixtureOpts{
+			st.SetAmplitudes(initial)
+			e.MixtureBatchInto(got, st, noise.MixtureOpts{
 				Trajectories: tc.k, Measure: measure,
 			}, testutil.NewRand(17), tc.batch)
 			for i := range got {
@@ -132,12 +137,24 @@ func TestBatchedMixtureSteadyStateZeroAlloc(t *testing.T) {
 	rng := testutil.NewRand(7)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	e.MixtureBatchInto(out, st, initial, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng, 8)
+	st.SetAmplitudes(initial)
+	e.MixtureBatchInto(out, st, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng, 8)
 
 	allocs := testing.AllocsPerRun(5, func() {
-		e.MixtureBatchInto(out, st, initial, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng, 8)
+		st.SetAmplitudes(initial)
+		e.MixtureBatchInto(out, st, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng, 8)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state MixtureBatchInto allocates %.1f objects per call, want 0", allocs)
+	}
+
+	// The input state doubles as the error-free prefix, so a batched call
+	// takes no pooled statevector beside its batch lanes.
+	states := func() uint64 { return telemetry.Default().CounterSum("qfarith_scratch_states_total") }
+	before := states()
+	st.SetAmplitudes(initial)
+	e.MixtureBatchInto(out, st, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng, 8)
+	if n := states() - before; n != 0 {
+		t.Errorf("batched MixtureBatchInto took %d pooled statevectors, want 0", n)
 	}
 }

@@ -92,7 +92,8 @@ func TestCheckpointedMixtureBitIdentical(t *testing.T) {
 		// Checkpointed engine path.
 		st := sim.NewState(7)
 		got := make([]float64, 16)
-		e.MixtureInto(got, st, initial, noise.MixtureOpts{
+		st.SetAmplitudes(initial)
+		e.MixtureInto(got, st, noise.MixtureOpts{
 			Trajectories: k, Measure: measure,
 		}, testutil.NewRand(uint64(42+trial)))
 
@@ -145,10 +146,12 @@ func TestMixtureSteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm every pool with a larger trajectory count than the measured
 	// runs use, so event/marginal buffers can only shrink afterwards.
-	e.MixtureInto(out, st, initial, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng)
+	st.SetAmplitudes(initial)
+	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng)
 
 	allocs := testing.AllocsPerRun(5, func() {
-		e.MixtureInto(out, st, initial, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng)
+		st.SetAmplitudes(initial)
+		e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state MixtureInto allocates %.1f objects per call, want 0", allocs)

@@ -40,7 +40,8 @@ func TestMixtureNoiselessMatchesIdeal(t *testing.T) {
 	initial[x|y<<3] = 1
 	out := make([]float64, 16)
 	rng := testutil.NewRand(1)
-	e.MixtureInto(out, st, initial, noise.MixtureOpts{Trajectories: 4, Measure: arith.Range(3, 4)}, rng)
+	st.SetAmplitudes(initial)
+	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 4, Measure: arith.Range(3, 4)}, rng)
 	want := (x + y) & 15
 	for v, p := range out {
 		expect := 0.0
@@ -191,7 +192,8 @@ func TestMixtureSumsToOne(t *testing.T) {
 	initial[3|7<<3] = 1
 	out := make([]float64, 16)
 	rng := testutil.NewRand(5)
-	e.MixtureInto(out, st, initial, noise.MixtureOpts{Trajectories: 8, Measure: arith.Range(3, 4)}, rng)
+	st.SetAmplitudes(initial)
+	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 8, Measure: arith.Range(3, 4)}, rng)
 	var s float64
 	for _, p := range out {
 		s += p
@@ -214,7 +216,8 @@ func TestMixtureDegradesWithNoise(t *testing.T) {
 		initial[x|y<<3] = 1
 		out := make([]float64, 16)
 		rng := testutil.NewRand(11)
-		e.MixtureInto(out, st, initial, noise.MixtureOpts{Trajectories: 48, Measure: arith.Range(3, 4)}, rng)
+		st.SetAmplitudes(initial)
+		e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 48, Measure: arith.Range(3, 4)}, rng)
 		if out[want] >= prev {
 			t.Errorf("P(correct) did not fall with noise: %g at λ2=%g (prev %g)", out[want], p2, prev)
 		}

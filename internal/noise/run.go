@@ -212,9 +212,8 @@ func grownFloats(buf []float64, n int) []float64 {
 // Carlo, and with Trajectories → ∞ the estimate converges to the true
 // channel output. Setting Trajectories equal to the shot count
 // reproduces the paper's per-shot noise semantics exactly in
-// distribution. st is caller-managed scratch space (overwritten);
-// initial holds the prepared input amplitudes; out must have length
-// 2^len(opts.Measure).
+// distribution. st holds the prepared, normalized input state on entry
+// and is overwritten; out must have length 2^len(opts.Measure).
 //
 // Internally the K trajectories are sampled up front (with the exact RNG
 // draw order of K sequential SampleConditional calls), grouped by the
@@ -224,14 +223,13 @@ func grownFloats(buf []float64, n int) []float64 {
 // into out in the original trajectory order, so the result is
 // bit-identical to the naive loop that re-simulates every trajectory
 // from the start.
-func (e *Engine) MixtureInto(out []float64, st *sim.State, initial []complex128, opts MixtureOpts, rng *rand.Rand) {
+func (e *Engine) MixtureInto(out []float64, st *sim.State, opts MixtureOpts, rng *rand.Rand) {
 	m := 1 << uint(len(opts.Measure))
 	if len(out) != m {
 		panic("noise: output buffer size mismatch")
 	}
 	if e.w0 >= 1 {
 		// Error-free model: the mixture is exactly the ideal distribution.
-		st.SetAmplitudes(initial)
 		e.applyFusedRange(st, 0, len(e.Res.Source))
 		st.RegisterProbsInto(out, opts.Measure)
 		if opts.IdealOut != nil {
@@ -254,7 +252,7 @@ func (e *Engine) MixtureInto(out []float64, st *sim.State, initial []complex128,
 	prefix := sim.GetScratchState(st.NumQubits())
 	defer sim.PutScratchState(prefix)
 	prefix.SetWorkers(st.Workers())
-	prefix.SetAmplitudes(initial)
+	prefix.CopyFrom(st)
 	cur := 0
 	for gi := 0; gi < k; {
 		s := sc.first[sc.order[gi]]

@@ -60,8 +60,8 @@ func MergeRuns(dst string, srcs []string) (MergeReport, error) {
 		}
 		if i > 0 {
 			if manifests[i].ConfigHash != manifests[0].ConfigHash {
-				return MergeReport{}, fmt.Errorf("runstore: config hash mismatch: %s was started with %s, %s with %s (refusing to mix results)",
-					srcs[0], manifests[0].ConfigHash, dir, manifests[i].ConfigHash)
+				return MergeReport{}, fmt.Errorf("runstore: %w: %s was started with %s, %s with %s (refusing to mix results)",
+					ErrConfigMismatch, srcs[0], manifests[0].ConfigHash, dir, manifests[i].ConfigHash)
 			}
 			if manifests[i].Command != manifests[0].Command {
 				return MergeReport{}, fmt.Errorf("runstore: command mismatch: %s ran %q, %s ran %q",

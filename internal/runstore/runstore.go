@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -89,6 +90,11 @@ type Run struct {
 	restored int
 }
 
+// ErrConfigMismatch reports a run directory whose manifest was written
+// under a different config hash. It is permanent: no retry can make the
+// directory resumable under the current config.
+var ErrConfigMismatch = errors.New("config hash mismatch")
+
 // pointRecord is one line of points.jsonl.
 type pointRecord struct {
 	Key   string          `json:"key"`
@@ -138,8 +144,8 @@ func Resume(dir, wantHash string) (*Run, error) {
 		return nil, fmt.Errorf("runstore: corrupt manifest in %s: %w", dir, err)
 	}
 	if wantHash != "" && m.ConfigHash != wantHash {
-		return nil, fmt.Errorf("runstore: config hash mismatch: run %s was started with %s, current config hashes to %s (refusing to mix results)",
-			dir, m.ConfigHash, wantHash)
+		return nil, fmt.Errorf("runstore: %w: run %s was started with %s, current config hashes to %s (refusing to mix results)",
+			ErrConfigMismatch, dir, m.ConfigHash, wantHash)
 	}
 	points, restored, err := loadPoints(filepath.Join(dir, pointsName))
 	if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,9 +75,13 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		}
 	}
 	if err != nil {
-		// Run-directory claims and resumes fail on I/O hiccups and
-		// leftover locks as readily as on real corruption; retrying is
-		// cheap because nothing has been computed yet.
+		// A directory started under another config can never resume.
+		if errors.Is(err, runstore.ErrConfigMismatch) {
+			return err
+		}
+		// Otherwise run-directory claims and resumes fail on I/O hiccups
+		// and leftover locks as readily as on real corruption; retrying
+		// is cheap because nothing has been computed yet.
 		return MarkTransient(err)
 	}
 	j.setDir(dir)

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"qfarith/internal/backend"
 	"qfarith/internal/experiment"
+	"qfarith/internal/runstore"
 )
 
 // testJob builds a queued job without going through HTTP.
@@ -216,6 +219,39 @@ func TestSchedulerRetryTransient(t *testing.T) {
 	waitState(t, j3, StateFailed)
 	if attempts3 != 1 {
 		t.Errorf("attempts = %d, want 1", attempts3)
+	}
+}
+
+// TestSchedulerConfigMismatchIsPermanent: a job whose run directory
+// holds a manifest written under another config hash can never resume,
+// so it fails after exactly one attempt instead of burning its retries.
+func TestSchedulerConfigMismatchIsPermanent(t *testing.T) {
+	dataDir := t.TempDir()
+	j := testJob("stale", "c", 5)
+	run, err := runstore.Create(filepath.Join(dataDir, j.ID), runstore.Manifest{Command: "fig3", ConfigHash: "another-config"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Close()
+	exec := &SweepExecutor{Runner: backend.NewRunner(backend.NewTrajectoryBackend(), 1), DataDir: dataDir, Backend: backend.DefaultName}
+
+	attempts := 0
+	var lastErr error
+	s := NewScheduler(1, 16, 3, func(ctx context.Context, j *Job) error {
+		attempts++
+		lastErr = exec.Execute(ctx, j)
+		return lastErr
+	})
+	defer s.Drain(context.Background())
+	if err := s.Submit(j); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateFailed)
+	if attempts != 1 {
+		t.Errorf("attempts = %d, want 1 (a config mismatch is permanent)", attempts)
+	}
+	if !errors.Is(lastErr, runstore.ErrConfigMismatch) || IsTransient(lastErr) {
+		t.Errorf("executor error = %v (transient %v), want a permanent runstore.ErrConfigMismatch", lastErr, IsTransient(lastErr))
 	}
 }
 

@@ -230,10 +230,16 @@ func runResult(o Options, geo experiment.Geometry, res *transpile.Result, initia
 		if err != nil {
 			panic("qfarith: " + err.Error())
 		}
+		var terms []backend.Amp
+		for i, a := range initial {
+			if a != 0 {
+				terms = append(terms, backend.Amp{Index: i, Value: a})
+			}
+		}
 		d, _, err := b.Run(context.Background(), backend.PointSpec{
 			Circuit:      res,
 			Model:        o.model(),
-			Initial:      initial,
+			Initial:      terms,
 			Measure:      geo.OutReg,
 			Trajectories: o.Trajectories,
 			Seed1:        o.Seed,
@@ -251,7 +257,8 @@ func runResult(o Options, geo experiment.Geometry, res *transpile.Result, initia
 		st := sim.NewState(geo.TotalQubits)
 		dist = make([]float64, 1<<uint(geo.OutBits))
 		sampler = sim.NewSampler(o.Seed, o.Seed^0x6a09e667f3bcc909)
-		engine.MixtureInto(dist, st, initial, noise.MixtureOpts{
+		st.SetAmplitudes(initial)
+		engine.MixtureInto(dist, st, noise.MixtureOpts{
 			Trajectories: o.Trajectories,
 			Measure:      geo.OutReg,
 		}, sampler.Rand())
