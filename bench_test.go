@@ -280,6 +280,49 @@ func BenchmarkTrajectoryMixture(b *testing.B) {
 	b.Run("qfm-full-k32", func(b *testing.B) {
 		bench(b, experiment.PaperMulGeometry(), qft.Full, 32)
 	})
+
+	// The fig3 workload's shape: full-depth adder, 2:2 input, K = 24,
+	// through the dense batched engine (the path before factoring) and
+	// through the factored engine, which simulates the 2 live blocks of
+	// 2^8 amplitudes instead of the 2^15 state.
+	geo := experiment.PaperAddGeometry()
+	res := geo.BuildCircuit(qft.Full)
+	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
+	out := make([]float64, 1<<uint(len(geo.OutReg)))
+	opts := noise.MixtureOpts{Trajectories: 24, Measure: geo.OutReg}
+	var terms []int
+	for _, x := range []int{19, 100} {
+		for _, y := range []int{7, 200} {
+			terms = append(terms, x|y<<uint(len(geo.XReg)))
+		}
+	}
+	b.Run("dense-qfa-22-k24", func(b *testing.B) {
+		st := sim.NewState(geo.TotalQubits)
+		rng := sim.NewSampler(21, 42).Rand()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(st.Amps())
+			for _, idx := range terms {
+				st.Amps()[idx] = 0.5
+			}
+			engine.MixtureBatchInto(out, st, opts, rng, sim.DefaultBatchLanes(geo.TotalQubits))
+		}
+	})
+	b.Run("factored-qfa-22-k24", func(b *testing.B) {
+		rng := sim.NewSampler(21, 42).Rand()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fs := sim.GetBlocks(geo.TotalQubits, engine.KeyMask())
+			for _, idx := range terms {
+				fs.Set(idx, 0.5)
+			}
+			noise.NormalizeBlocks(fs)
+			engine.MixtureFactoredInto(out, fs, opts, rng)
+			sim.PutBlocks(fs)
+		}
+	})
 }
 
 // BenchmarkTrajectoryMixtureSteadyState is BenchmarkTrajectoryMixture's

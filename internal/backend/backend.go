@@ -4,20 +4,26 @@
 //
 //   - TrajectoryBackend ("trajectory", the default and the only choice
 //     at large widths) — the stratified Pauli-trajectory mixture engine
-//     (internal/noise). Noisy runs simulate their trajectories in
-//     structure-of-arrays batches sized by sim.DefaultBatchLanes,
-//     bit-identical to the scalar engine for equal seeds; SetBatchLanes
-//     overrides the width and 1 selects the scalar engine.
-//     "trajectory-batch" is a registry alias for the same backend, kept
-//     so run directories that recorded that name still resume;
+//     (internal/noise). A circuit whose key registers stay in the
+//     computational basis (the operands of the paper's adders and
+//     multipliers), run on an input spanning few key values, takes the
+//     factored path: the input terms load straight into sim.Blocks, one
+//     small State per live key value, and no 2^n state is taken. Other
+//     runs take the dense path, where noisy runs simulate their
+//     trajectories in structure-of-arrays batches sized by
+//     sim.DefaultBatchLanes; SetBatchLanes overrides the width and 1
+//     selects the scalar engine. All paths are bit-identical for equal
+//     seeds. "trajectory-batch" is a registry alias for the same
+//     backend, kept so run directories that recorded that name still
+//     resume;
 //   - DensityBackend — exact density-matrix channel evolution
 //     (internal/density), quadratically more expensive but Monte-Carlo
 //     free, usable as ground truth at small register widths.
 //
 // Inputs are sparse (PointSpec.Initial lists the nonzero amplitudes), so
-// a trajectory run holds one 2^n statevector — the input, advanced in
-// place as the error-free prefix — plus the batch lanes, and no dense
-// copy of the input.
+// a dense trajectory run holds one 2^n statevector — the input, advanced
+// in place as the error-free prefix — plus the batch lanes, and no dense
+// copy of the input; a factored run holds two sets of live blocks.
 //
 // The package also provides a Runner (one bounded worker pool shared
 // across every parallelism level of a sweep, with context cancellation)
@@ -87,6 +93,19 @@ func (s PointSpec) validate() error {
 		return fmt.Errorf("backend: PointSpec.Measure is empty")
 	}
 	n := s.Circuit.NumQubits
+	// An out-of-range or repeated measured qubit would make the
+	// probability walks shift by a meaningless amount and fold mass into
+	// the wrong bins, so reject it here.
+	for i, q := range s.Measure {
+		if q < 0 || q >= n {
+			return fmt.Errorf("backend: measured qubit %d is %d, outside [0, %d)", i, q, n)
+		}
+		for j, p := range s.Measure[:i] {
+			if p == q {
+				return fmt.Errorf("backend: measured qubit %d repeats qubit %d (also measured qubit %d)", i, q, j)
+			}
+		}
+	}
 	var norm2 float64
 	for i, a := range s.Initial {
 		if a.Index < 0 || a.Index >= 1<<uint(n) {
@@ -119,6 +138,34 @@ func (s PointSpec) prepare(st *sim.State) {
 		amps[a.Index] = a.Value
 	}
 	st.Normalize()
+}
+
+// prepareBlocks loads the spec's input as live blocks over engine's key
+// qubits (the factored state), straight from the sparse terms, and
+// normalizes it. It returns nil — the run takes the dense path — when
+// the circuit has no key qubits or the input spans too many key values
+// for the blocks to pay off (noise.Engine.FactoredFits).
+func (s PointSpec) prepareBlocks(engine *noise.Engine) *sim.Blocks {
+	mask := engine.KeyMask()
+	if mask == 0 {
+		return nil
+	}
+	fs := sim.GetBlocks(s.Circuit.NumQubits, mask)
+	if len(s.Initial) == 0 {
+		fs.Set(0, 1)
+	}
+	for _, a := range s.Initial {
+		fs.Set(a.Index, a.Value)
+		if !engine.FactoredFits(fs.Len()) {
+			break // no need to load the rest
+		}
+	}
+	if !engine.FactoredFits(fs.Len()) {
+		sim.PutBlocks(fs)
+		return nil
+	}
+	noise.NormalizeBlocks(fs)
+	return fs
 }
 
 // Diagnostics reports execution metadata alongside a distribution.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"qfarith/internal/experiment"
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
+	"qfarith/internal/sim"
 	"qfarith/internal/telemetry"
 )
 
@@ -70,12 +72,20 @@ func TestSpecValidation(t *testing.T) {
 	}
 	noMeasure := smallSpec(1)
 	noMeasure.Measure = nil
+	withMeasure := func(qubits ...int) backend.PointSpec {
+		spec := smallSpec(1)
+		spec.Measure = qubits
+		return spec
+	}
 	cases := []struct {
 		name, want string
 		spec       backend.PointSpec
 	}{
 		{"nil circuit", "Circuit is nil", backend.PointSpec{}},
 		{"empty measure", "Measure is empty", noMeasure},
+		{"measured qubit past register", "measured qubit 1 is 5, outside [0, 5)", withMeasure(0, 5)},
+		{"negative measured qubit", "measured qubit 0 is -1, outside [0, 5)", withMeasure(-1, 2)},
+		{"repeated measured qubit", "measured qubit 2 repeats qubit 3 (also measured qubit 0)", withMeasure(3, 4, 3)},
 		{"negative index", "index -1, outside [0, 2^5)", withInitial(backend.Amp{Index: -1, Value: 1})},
 		{"index past register", "index 32, outside [0, 2^5)", withInitial(backend.Amp{Index: 3, Value: 1}, backend.Amp{Index: 32, Value: 1})},
 		{"all-zero terms", "squared norm 0 over 2 terms", withInitial(backend.Amp{Index: 1}, backend.Amp{Index: 3})},
@@ -200,14 +210,15 @@ func TestDensityMatchesTrajectory(t *testing.T) {
 // backend.New("") runs the batched engine, and for equal seeds it
 // returns the exact bytes the scalar engine (one lane) returns — at
 // automatic sizing, at several fixed widths, and under the
-// "trajectory-batch" alias.
+// "trajectory-batch" alias. The input spans all 128 addend values, too
+// many for the factored path, so the dense batched kernels are the ones
+// compared.
 func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 	geo := experiment.PaperAddGeometry()
 	var initial []backend.Amp
-	for _, x := range []int{19, 100} {
-		for _, y := range []int{7, 200} {
-			initial = append(initial, backend.Amp{Index: x | y<<7, Value: 0.5})
-		}
+	for x := 0; x < 128; x++ {
+		y := (37*x + 5) % 256
+		initial = append(initial, backend.Amp{Index: x | y<<7, Value: complex(1, float64(x%3))})
 	}
 	spec := backend.PointSpec{
 		Circuit:      geo.BuildCircuit(3),
@@ -258,5 +269,59 @@ func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 		b := backend.NewTrajectoryBackend()
 		b.SetBatchLanes(lanes)
 		check(fmt.Sprintf("lanes=%d", lanes), b)
+	}
+}
+
+// TestFactoredRunMatchesDenseOracle: a fig3 2:2 instance takes the
+// factored path, as the runs counter records, and its distributions are
+// the exact bytes the dense scalar engine computes on the same input and
+// seeds.
+func TestFactoredRunMatchesDenseOracle(t *testing.T) {
+	geo := experiment.PaperAddGeometry()
+	var initial []backend.Amp
+	for _, x := range []int{19, 100} {
+		for _, y := range []int{7, 200} {
+			initial = append(initial, backend.Amp{Index: x | y<<7, Value: 0.5})
+		}
+	}
+	spec := backend.PointSpec{
+		Circuit:      geo.BuildCircuit(3),
+		Model:        noise.PaperModel(0.002, 0.01),
+		Initial:      initial,
+		Measure:      geo.OutReg,
+		Trajectories: 24,
+		Seed1:        7, Seed2: 8,
+	}
+	runs := func(state string) uint64 {
+		return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
+	}
+	factored, dense := runs("factored"), runs("dense")
+	got, diag, err := backend.NewTrajectoryBackend().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs("factored") != factored+1 || runs("dense") != dense {
+		t.Errorf("runs counter moved factored %d→%d, dense %d→%d; want one factored run",
+			factored, runs("factored"), dense, runs("dense"))
+	}
+
+	st := sim.NewState(15)
+	clear(st.Amps())
+	for _, a := range initial {
+		st.Amps()[a.Index] = a.Value
+	}
+	st.Normalize()
+	want := make([]float64, len(got))
+	wantIdeal := make([]float64, len(got))
+	noise.NewEngine(spec.Circuit, spec.Model).MixtureInto(want, st, noise.MixtureOpts{
+		Trajectories: spec.Trajectories, Measure: spec.Measure, IdealOut: wantIdeal,
+	}, rand.New(rand.NewPCG(spec.Seed1, spec.Seed2)))
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("dist[%d] = %g, dense oracle %g", i, got[i], want[i])
+		}
+		if math.Float64bits(wantIdeal[i]) != math.Float64bits(diag.Ideal[i]) {
+			t.Fatalf("ideal[%d] = %g, dense oracle %g", i, diag.Ideal[i], wantIdeal[i])
+		}
 	}
 }

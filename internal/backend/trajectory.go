@@ -8,6 +8,7 @@ import (
 
 	"qfarith/internal/noise"
 	"qfarith/internal/sim"
+	"qfarith/internal/telemetry"
 	"qfarith/internal/transpile"
 )
 
@@ -25,16 +26,22 @@ var (
 	engineCacheHit      = cacheCounter("engine", "hit", "")
 	engineCacheMiss     = cacheCounter("engine", "miss", "")
 	engineCacheEviction = cacheCounter("engine", "eviction", "")
+
+	// Which state representation each run took (see Run).
+	mixRunsFactored = telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "factored"))
+	mixRunsDense    = telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "dense"))
 )
 
 // TrajectoryBackend evaluates point specs with the stratified Pauli
 // trajectory mixture engine (internal/noise): the no-error stratum is
 // exact and the conditional (≥1 error) remainder is Monte Carlo over
 // spec.Trajectories samples. It is the default backend and the one that
-// reproduces the paper's per-shot noise semantics. Trajectories run
-// through noise.MixtureBatchInto, batched at the configured lane count;
-// the engine itself falls back to the scalar path for one lane, one
-// trajectory or a noiseless model.
+// reproduces the paper's per-shot noise semantics. Runs whose input
+// spans few values of the circuit's key qubits go through
+// noise.MixtureFactoredInto on live blocks; the rest through
+// noise.MixtureBatchInto, batched at the configured lane count, which
+// falls back to the scalar path for one lane, one trajectory or a
+// noiseless model.
 //
 // The backend caches noise engines per (circuit, model) pair in an LRU
 // of maxCachedEngines entries, so the per-circuit precomputation (error
@@ -148,22 +155,30 @@ func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distributi
 		return nil, Diagnostics{}, err
 	}
 	engine := t.engine(spec.Circuit, spec.Model)
-	n := spec.Circuit.NumQubits
-	batch := t.batch
-	if batch == 0 {
-		batch = sim.DefaultBatchLanes(n)
-	}
-	st := sim.GetScratchState(n)
-	defer sim.PutScratchState(st)
-	spec.prepare(st)
 	dist := make(Distribution, 1<<uint(len(spec.Measure)))
 	ideal := make(Distribution, len(dist))
 	rng := rand.New(rand.NewPCG(spec.Seed1, spec.Seed2))
-	engine.MixtureBatchInto(dist, st, noise.MixtureOpts{
+	opts := noise.MixtureOpts{
 		Trajectories: spec.Trajectories,
 		Measure:      spec.Measure,
 		IdealOut:     ideal,
-	}, rng, batch)
+	}
+	if fs := spec.prepareBlocks(engine); fs != nil {
+		defer sim.PutBlocks(fs)
+		engine.MixtureFactoredInto(dist, fs, opts, rng)
+		mixRunsFactored.Inc()
+	} else {
+		n := spec.Circuit.NumQubits
+		batch := t.batch
+		if batch == 0 {
+			batch = sim.DefaultBatchLanes(n)
+		}
+		st := sim.GetScratchState(n)
+		defer sim.PutScratchState(st)
+		spec.prepare(st)
+		engine.MixtureBatchInto(dist, st, opts, rng, batch)
+		mixRunsDense.Inc()
+	}
 	diag := Diagnostics{
 		Backend:        t.Name(),
 		NoErrorProb:    engine.NoErrorProb(),

@@ -134,16 +134,7 @@ func (e *Engine) MixtureBatchInto(out []float64, st *sim.State, opts MixtureOpts
 		copy(opts.IdealOut, sc.ideal)
 	}
 
-	// Accumulate exactly as the scalar path does: ideal stratum first,
-	// then trajectories 0..K-1 — identical float additions, identical out.
-	for i := range out {
-		out[i] = 0
-	}
-	sim.MixInto(out, sc.ideal, e.w0)
-	wt := (1 - e.w0) / float64(k)
-	for t := 0; t < k; t++ {
-		sim.MixInto(out, sc.marg[t*m:(t+1)*m], wt)
-	}
+	e.accumulate(out, sc, k)
 }
 
 // runSpanBatch runs the seeded lanes [0, lanes) of bs to the end of the

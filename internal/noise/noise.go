@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 
 	"qfarith/internal/gate"
 	"qfarith/internal/transpile"
@@ -95,6 +96,10 @@ type Engine struct {
 	// spanOf[pi] is the source-span index containing native op pi, used
 	// to locate the first span a trajectory's events touch.
 	spanOf []int
+
+	// fact is the factored-execution plan, built on first use (plan).
+	factOnce sync.Once
+	fact     *factPlan
 }
 
 // NewEngine prepares trajectory sampling for res under model.

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"sync"
 
+	"qfarith/internal/circuit"
 	"qfarith/internal/gate"
 	"qfarith/internal/sim"
 	"qfarith/internal/telemetry"
@@ -183,6 +184,16 @@ type mixScratch struct {
 	evCur     []int     // per-lane cursor into events (next unconsumed)
 	evEnd     []int     // per-lane end of its event list
 	lprob     []float64 // per-lane marginals of one batch, lane-major
+	// Checkpoint walkers, kept here so passing them as an interface
+	// allocates nothing.
+	dense  denseWalk
+	blocks blockWalk
+	// Factored-path scratch: projected diagonal terms, one op's terms,
+	// and the per-block cursors of the ascending merge.
+	active  []circuit.DiagTerm
+	opTerms []circuit.DiagTerm
+	cur     []int
+	glob    []uint64
 }
 
 var mixPool = sync.Pool{New: func() any { return new(mixScratch) }}
@@ -192,6 +203,13 @@ var mixPool = sync.Pool{New: func() any { return new(mixScratch) }}
 func grownInts(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+func grownUints(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
 	}
 	return buf[:n]
 }
@@ -237,49 +255,91 @@ func (e *Engine) MixtureInto(out []float64, st *sim.State, opts MixtureOpts, rng
 		}
 		return
 	}
-	k := opts.Trajectories
-	if k < 1 {
-		k = 1
-	}
-	sc := mixPool.Get().(*mixScratch)
-	defer mixPool.Put(sc)
-	e.sampleAndGroup(sc, k, rng)
-
-	// One error-free forward pass. Each group branches off the prefix at
-	// its first-error span; finishing the pass yields the ideal stratum.
-	nSpans := len(e.Res.Spans)
-	sc.marg = grownFloats(sc.marg, k*m)
 	prefix := sim.GetScratchState(st.NumQubits())
 	defer sim.PutScratchState(prefix)
 	prefix.SetWorkers(st.Workers())
 	prefix.CopyFrom(st)
+	sc := mixPool.Get().(*mixScratch)
+	defer mixPool.Put(sc)
+	sc.dense = denseWalk{e: e, prefix: prefix, work: st, measure: opts.Measure}
+	e.mixtureCheckpointed(out, &sc.dense, sc, opts, rng)
+	sc.dense = denseWalk{}
+}
+
+// checkpointWalk is the state representation the checkpointed mixture
+// loop evolves: an error-free prefix that advances through the circuit,
+// and a work state each trajectory branches into.
+type checkpointWalk interface {
+	// advance applies the error-free source ops [lo, hi) to the prefix.
+	advance(lo, hi int)
+	// branch copies the prefix into the work state.
+	branch()
+	// run simulates spans [from, end) with events on the work state and
+	// returns how many events it consumed.
+	run(events []Event, from int) int
+	// probs writes the measured marginal of the prefix or work state.
+	probs(out []float64, prefix bool)
+}
+
+// denseWalk is the statevector checkpointWalk.
+type denseWalk struct {
+	e            *Engine
+	prefix, work *sim.State
+	measure      []int
+}
+
+func (w *denseWalk) advance(lo, hi int) { w.e.applyFusedRange(w.prefix, lo, hi) }
+func (w *denseWalk) branch()            { w.work.CopyFrom(w.prefix) }
+func (w *denseWalk) run(events []Event, from int) int {
+	return w.e.runTrajectoryFrom(w.work, events, from)
+}
+func (w *denseWalk) probs(out []float64, prefix bool) {
+	st := w.work
+	if prefix {
+		st = w.prefix
+	}
+	st.RegisterProbsInto(out, w.measure)
+}
+
+// mixtureCheckpointed is the noisy-model mixture loop shared by the
+// dense and factored engines: sample and group the K trajectories, run
+// each group from the prefix checkpoint at its first-error span, finish
+// the prefix into the ideal stratum, and accumulate.
+func (e *Engine) mixtureCheckpointed(out []float64, w checkpointWalk, sc *mixScratch, opts MixtureOpts, rng *rand.Rand) {
+	k := max(opts.Trajectories, 1)
+	m := len(out)
+	e.sampleAndGroup(sc, k, rng)
+	sc.marg = grownFloats(sc.marg, k*m)
 	cur := 0
 	for gi := 0; gi < k; {
 		s := sc.first[sc.order[gi]]
-		e.applyFusedRange(prefix, cur, s)
+		w.advance(cur, s)
 		cur = s
 		for ; gi < k && sc.first[sc.order[gi]] == s; gi++ {
 			t := sc.order[gi]
-			st.CopyFrom(prefix)
+			w.branch()
 			ev := sc.events[sc.offs[t]:sc.offs[t+1]]
-			if used := e.runTrajectoryFrom(st, ev, s); used != len(ev) {
+			if used := w.run(ev, s); used != len(ev) {
 				panic("noise: trajectory events out of range")
 			}
-			st.RegisterProbsInto(sc.marg[t*m:(t+1)*m], opts.Measure)
+			w.probs(sc.marg[t*m:(t+1)*m], false)
 		}
 	}
-	e.applyFusedRange(prefix, cur, nSpans)
+	w.advance(cur, len(e.Res.Spans))
 	sc.ideal = grownFloats(sc.ideal, m)
-	prefix.RegisterProbsInto(sc.ideal, opts.Measure)
+	w.probs(sc.ideal, true)
 	if opts.IdealOut != nil {
 		copy(opts.IdealOut, sc.ideal)
 	}
+	e.accumulate(out, sc, k)
+}
 
-	// Accumulate in the order the naive loop used: ideal stratum first,
-	// then trajectories 0..K-1 — identical float additions, identical out.
-	for i := range out {
-		out[i] = 0
-	}
+// accumulate writes the mixture into out in the order the naive loop
+// used: ideal stratum first, then trajectories 0..K-1 — identical float
+// additions, identical out, whichever engine produced the marginals.
+func (e *Engine) accumulate(out []float64, sc *mixScratch, k int) {
+	m := len(out)
+	clear(out)
 	sim.MixInto(out, sc.ideal, e.w0)
 	wt := (1 - e.w0) / float64(k)
 	for t := 0; t < k; t++ {

@@ -33,6 +33,10 @@ type SweepExecutor struct {
 	// Workers bounds per-panel instance parallelism, like the CLI's
 	// -workers; 0 = GOMAXPROCS.
 	Workers int
+	// GitDescribe is recorded in every job's manifest. server.New
+	// resolves it once at startup, so it names the tree the daemon
+	// started from and no job pays for a `git describe` subprocess.
+	GitDescribe string
 }
 
 // Execute runs one attempt of j to completion, cancellation, or error.
@@ -43,12 +47,16 @@ type SweepExecutor struct {
 // (AppendPoint syncs before acknowledging), leaving a directory the CLI
 // can resume.
 func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
+	spec := j.sweep()
+	if spec == nil {
+		return fmt.Errorf("job %s is already %s", j.ID, j.State())
+	}
 	dir := filepath.Join(e.DataDir, j.ID)
-	hash, err := runstore.HashConfig(j.Spec)
+	hash, err := runstore.HashConfig(*spec)
 	if err != nil {
 		return err
 	}
-	panels, allKeys := j.Spec.Panels(compile.Config{}, e.Workers)
+	panels, allKeys := spec.Panels(compile.Config{}, e.Workers)
 
 	var run *runstore.Run
 	if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
@@ -58,13 +66,13 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		run, err = runstore.Resume(dir, hash)
 	} else {
 		run, err = runstore.Create(dir, runstore.Manifest{
-			Command: j.Spec.Command, ConfigHash: hash, Seed: j.Spec.Seed,
+			Command: spec.Command, ConfigHash: hash, Seed: spec.Seed,
 			Backend: e.Backend, Pipeline: compile.Config{}.Hash(),
-			GitDescribe: runstore.GitDescribe("."),
+			GitDescribe: e.GitDescribe,
 			StartTime:   time.Now().UTC(),
 		})
 		if err == nil {
-			if serr := runstore.WriteSpec(dir, j.Spec); serr != nil {
+			if serr := runstore.WriteSpec(dir, *spec); serr != nil {
 				run.Close()
 				return serr
 			}

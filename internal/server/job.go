@@ -216,10 +216,15 @@ type Job struct {
 	ID       string
 	Client   string
 	Priority int
-	Request  JobRequest
-	Spec     experiment.SweepSpec
+	// Command and Seed identify the sweep in status reports.
+	Command string
+	Seed    uint64
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// spec is the sweep the job runs. It is dropped once the job is
+	// terminal, so a long-lived daemon keeps a finished job's status,
+	// not its sweep grid.
+	spec      *experiment.SweepSpec
 	state     JobState
 	errMsg    string
 	dir       string
@@ -251,7 +256,7 @@ func newJob(id string, req JobRequest, spec experiment.SweepSpec, priority int, 
 	}
 	return &Job{
 		ID: id, Client: client, Priority: priority,
-		Request: req, Spec: spec,
+		Command: spec.Command, Seed: spec.Seed, spec: &spec,
 		state: StateQueued, submitted: now,
 		bc: newBroadcaster(),
 	}
@@ -286,7 +291,7 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	return JobStatus{
 		ID: j.ID, Client: j.Client, Priority: j.Priority,
-		Command: j.Spec.Command, Seed: j.Spec.Seed,
+		Command: j.Command, Seed: j.Seed,
 		State: j.state, Error: j.errMsg, Dir: j.dir, Retries: j.retries,
 		Done: j.done, Fresh: j.fresh, Restored: j.restored, Total: j.total,
 		Submitted: j.submitted, Started: j.started, Finished: j.finished,
@@ -313,12 +318,20 @@ func (j *Job) setState(state JobState, errMsg string) {
 		}
 	case StateDone, StateFailed, StateCancelled, StateInterrupted:
 		j.finished = time.Now()
+		j.spec = nil
 	}
 	j.mu.Unlock()
 	j.bc.send(Event{Type: EventState, Data: j.Status()})
 	if state.terminal() {
 		j.bc.close()
 	}
+}
+
+// sweep returns the job's sweep spec, or nil once the job is terminal.
+func (j *Job) sweep() *experiment.SweepSpec {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spec
 }
 
 // setDir records the job's run directory once the executor created it.

@@ -101,6 +101,7 @@ func New(cfg Config) (*Server, error) {
 		exec: &SweepExecutor{
 			Runner: runner, DataDir: cfg.DataDir,
 			Backend: cfg.Backend, Workers: cfg.Workers,
+			GitDescribe: runstore.GitDescribe("."),
 		},
 	}
 	s.nextID = nextJobNumber(cfg.DataDir)

@@ -279,6 +279,27 @@ func TestServerJobByteIdentity(t *testing.T) {
 	if !found {
 		t.Errorf("artifact listing missing verified fig3_2q_11.csv: %+v", infos)
 	}
+
+	// The manifest still records the tree the daemon started from,
+	// resolved once by New rather than per job.
+	raw, err := os.ReadFile(filepath.Join(s.cfg.DataDir, st.ID, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man runstore.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if want := runstore.GitDescribe("."); s.exec.GitDescribe != want || man.GitDescribe != want {
+		t.Errorf("manifest git_describe %q, executor %q, want %q", man.GitDescribe, s.exec.GitDescribe, want)
+	}
+
+	// A finished job keeps its status but not its sweep grid.
+	if j, ok := s.job(st.ID); !ok || j.sweep() != nil {
+		t.Errorf("finished job still holds its sweep spec")
+	} else if js := j.Status(); js.Command != "fig3" || js.Seed != 777 {
+		t.Errorf("finished job status %+v lost its command or seed", js)
+	}
 }
 
 // TestServerCancelMidJob cancels a running job and checks it finalizes

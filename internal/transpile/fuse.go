@@ -99,7 +99,7 @@ func Fuse(r *Result) *FusedProgram {
 			j := i
 			var terms []circuit.DiagTerm
 			for j < n && r.Source[j].Kind.Diagonal() {
-				terms = appendDiagTerms(terms, r.Source[j], j)
+				terms = AppendDiagTerms(terms, r.Source[j], j)
 				j++
 			}
 			add(Segment{Kind: SegDiag, SrcStart: i, SrcEnd: j, Terms: terms})
@@ -124,10 +124,11 @@ func Fuse(r *Result) *FusedProgram {
 	return fp
 }
 
-// appendDiagTerms lowers one diagonal op into phase terms, matching the
-// exact phase factors the specialised sim kernels compute so fused
-// execution multiplies each amplitude by bit-identical values.
-func appendDiagTerms(dst []circuit.DiagTerm, op circuit.Op, src int) []circuit.DiagTerm {
+// AppendDiagTerms lowers one diagonal op (source index src) into phase
+// terms appended to dst, matching the exact phase factors the
+// specialised sim kernels compute so fused execution multiplies each
+// amplitude by bit-identical values.
+func AppendDiagTerms(dst []circuit.DiagTerm, op circuit.Op, src int) []circuit.DiagTerm {
 	bit := func(i int) uint64 { return 1 << uint(op.Qubits[i]) }
 	phase := func(mask uint64, theta float64) []circuit.DiagTerm {
 		return append(dst, circuit.DiagTerm{
