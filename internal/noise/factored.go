@@ -1,10 +1,12 @@
 package noise
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"qfarith/internal/circuit"
 	"qfarith/internal/gate"
@@ -35,8 +37,14 @@ import (
 // engine holds outside the blocks are exactly zero there and only ever
 // meet other zeros or exact-zero matrix entries, so dropping them
 // changes no result bit. Probabilities and norms are summed in
-// ascending global basis index, the dense engine's order, by a k-way
-// merge over the blocks.
+// ascending global basis index, the dense engine's order. When no
+// unmeasured dense qubit lies above an unmeasured key qubit — on fig3
+// and fig4 every dense qubit is measured — the blocks that reach one
+// probability bin differ only in key bits above the bin's free dense
+// bits, so registerProbsBlocks visits blocks in ascending key and adds
+// each block's |a|² in local order: the same additions in the same
+// order. Other layouts, and the input norm, take a k-way merge over the
+// blocks.
 
 // factPlan is an engine's factored-execution plan: its key qubits and
 // each fused diagonal segment's terms split into a key part and a dense
@@ -313,12 +321,23 @@ func walkAscending(fs *sim.Blocks, sc *mixScratch, visit func(g uint64, a comple
 
 // registerProbsBlocks is State.RegisterProbsInto on a factored state:
 // each bin receives its contributions in ascending global index, as in
-// the dense walk.
+// the dense walk. When keyOrderOK holds, visiting the blocks in
+// ascending key achieves that order without merging them.
 func registerProbsBlocks(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
 	if len(out) != 1<<uint(len(qubits)) {
 		panic("noise: register output buffer size mismatch")
 	}
 	clear(out)
+	if keyOrderOK(fs, qubits) {
+		registerProbsKeyOrder(fs, out, qubits, sc)
+	} else {
+		registerProbsMerge(fs, out, qubits, sc)
+	}
+}
+
+// registerProbsMerge adds every amplitude's |a|² to its bin in
+// ascending global index, by the k-way merge.
+func registerProbsMerge(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
 	walkAscending(fs, sc, func(g uint64, a complex128) {
 		v := 0
 		for i, q := range qubits {
@@ -326,6 +345,59 @@ func registerProbsBlocks(fs *sim.Blocks, out []float64, qubits []int, sc *mixScr
 		}
 		out[v] += real(a)*real(a) + imag(a)*imag(a)
 	})
+}
+
+// keyOrderOK reports whether no unmeasured dense qubit lies above an
+// unmeasured key qubit. Within one bin the measured bits are fixed, so
+// ascending global index then means ascending unmeasured key bits —
+// ascending key among the blocks that reach the bin — and, within a
+// block, ascending local index.
+func keyOrderOK(fs *sim.Blocks, qubits []int) bool {
+	var measured uint64
+	for _, q := range qubits {
+		measured |= 1 << uint(q)
+	}
+	freeKey := fs.KeyMask() &^ measured
+	if freeKey == 0 {
+		return true
+	}
+	freeDense := (uint64(1)<<uint(fs.NumQubits()) - 1) &^ fs.KeyMask() &^ measured
+	return freeDense>>uint(bits.TrailingZeros64(freeKey)) == 0
+}
+
+// registerProbsKeyOrder is registerProbsBlocks's walk for layouts that
+// pass keyOrderOK: blocks in ascending key, each block's |a|² added in
+// local order through a bin table of its dense qubits' measured bits.
+func registerProbsKeyOrder(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
+	var binBit [sim.MaxQubits]int // bin bit of each measured global qubit
+	for i, q := range qubits {
+		binBit[q] = 1 << uint(i)
+	}
+	dense := fs.Dense()
+	tbl := grownInts(sc.bins, 1<<uint(len(dense)))
+	sc.bins = tbl
+	tbl[0] = 0
+	for i := 1; i < len(tbl); i++ {
+		tbl[i] = tbl[i&(i-1)] | binBit[dense[bits.TrailingZeros(uint(i))]]
+	}
+	order := grownInts(sc.cur, fs.Len())
+	sc.cur = order
+	for b := range order {
+		order[b] = b
+	}
+	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(fs.Key(x), fs.Key(y)) })
+	keyBits := fs.KeyMask()
+	for _, b := range order {
+		key, kb := fs.Key(b), 0
+		for i, q := range qubits {
+			if keyBits>>uint(q)&1 == 1 {
+				kb |= int(key>>uint(q)&1) << uint(i)
+			}
+		}
+		for i, a := range fs.State(b).Amps() {
+			out[kb|tbl[i]] += real(a)*real(a) + imag(a)*imag(a)
+		}
+	}
 }
 
 // applyFusedRangeBlocks mirrors applyFusedRange on a factored state.

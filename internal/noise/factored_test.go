@@ -269,6 +269,9 @@ func FuzzFactoredMixture(f *testing.F) {
 		{6, 4, 2, 0, 3, 20, 2},
 		{7, 3, 1, 1, 4, 15, 2},
 		{8, 8, 2, 1, 8, 80, 5},
+		// 8 qubits, key mask 0xfc: six input blocks stored with
+		// descending keys, read out through the key-order walk.
+		{324, 6, 1, 2, 10, 40, 5},
 	} {
 		f.Add(s.seed, s.n, s.nd, s.hot, s.k, s.ops, s.nIn)
 	}

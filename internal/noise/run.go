@@ -189,11 +189,13 @@ type mixScratch struct {
 	dense  denseWalk
 	blocks blockWalk
 	// Factored-path scratch: projected diagonal terms, one op's terms,
-	// and the per-block cursors of the ascending merge.
+	// the per-block cursors of the ascending merge (or the key order of
+	// the blocks), and the bin table of the key-order walk.
 	active  []circuit.DiagTerm
 	opTerms []circuit.DiagTerm
 	cur     []int
 	glob    []uint64
+	bins    []int
 }
 
 var mixPool = sync.Pool{New: func() any { return new(mixScratch) }}

@@ -366,9 +366,21 @@ func writeFileExcl(path string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs directory dir, making the creates and renames in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("sync directory: %w", err)
 	}
 	return nil
 }
@@ -463,9 +475,8 @@ func writeFileAtomic(path string, data []byte) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("runstore: rename %s: %w", path, err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"qfarith/internal/backend"
@@ -89,8 +91,9 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		}
 		// Otherwise run-directory claims and resumes fail on I/O hiccups
 		// and leftover locks as readily as on real corruption; retrying
-		// is cheap because nothing has been computed yet.
-		return MarkTransient(err)
+		// is cheap because nothing has been computed yet, unless the
+		// error is one no retry can clear.
+		return retryable(err)
 	}
 	j.setDir(dir)
 	defer func() {
@@ -110,8 +113,27 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 			return fmt.Errorf("panel %s: %w", label, err)
 		}
 		if err := runstore.WriteArtifact(filepath.Join(dir, label+".csv"), []byte(res.CSV())); err != nil {
-			return MarkTransient(fmt.Errorf("panel %s: %w", label, err))
+			return retryable(fmt.Errorf("panel %s: %w", label, err))
 		}
 	}
 	return nil
+}
+
+// permanentIO lists the storage errors no retry can clear: a full,
+// over-quota or read-only file system, a failing device, a path
+// component that is not a directory, and denied permissions.
+var permanentIO = []error{
+	syscall.ENOSPC, syscall.EDQUOT, syscall.EROFS, syscall.EIO,
+	syscall.ENOTDIR, fs.ErrPermission,
+}
+
+// retryable marks a storage error transient unless it is one of
+// permanentIO, which fail the job on its first attempt.
+func retryable(err error) error {
+	for _, p := range permanentIO {
+		if errors.Is(err, p) {
+			return err
+		}
+	}
+	return MarkTransient(err)
 }

@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -575,5 +578,53 @@ func TestServerRestartNumbering(t *testing.T) {
 	st := submitJob(t, ts, quickAddRequest(780))
 	if st.ID != "job-000008" {
 		t.Fatalf("job ID after restart = %s, want job-000008", st.ID)
+	}
+}
+
+// TestServerPermanentIOErrorNotRetried checks that a storage error no
+// retry can clear fails the job on its first attempt: a regular file at
+// the job's run-directory path makes every attempt fail with ENOTDIR.
+func TestServerPermanentIOErrorNotRetried(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir, MaxRetries: 2})
+	if err := os.WriteFile(filepath.Join(dir, "job-000001"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := submitJob(t, ts, quickAddRequest(781))
+	if st.ID != "job-000001" {
+		t.Fatalf("job ID = %s, want job-000001", st.ID)
+	}
+	st = waitTerminal(t, ts, st.ID)
+	if st.State != StateFailed || st.Retries != 0 {
+		t.Fatalf("job ended %s after %d retries (%s), want failed after 0", st.State, st.Retries, st.Error)
+	}
+	if !strings.Contains(st.Error, "not a directory") {
+		t.Errorf("error %q does not name ENOTDIR", st.Error)
+	}
+}
+
+// TestRetryableClassifiesStorageErrors pins which storage failures the
+// executor re-queues.
+func TestRetryableClassifiesStorageErrors(t *testing.T) {
+	wrap := func(errno syscall.Errno) error {
+		return fmt.Errorf("panel x: %w", &fs.PathError{Op: "write", Path: "p", Err: errno})
+	}
+	for _, c := range []struct {
+		err       error
+		transient bool
+	}{
+		{wrap(syscall.ENOSPC), false},
+		{wrap(syscall.EDQUOT), false},
+		{wrap(syscall.EROFS), false},
+		{wrap(syscall.EIO), false},
+		{wrap(syscall.ENOTDIR), false},
+		{wrap(syscall.EACCES), false},
+		{wrap(syscall.EPERM), false},
+		{wrap(syscall.EAGAIN), true},
+		{errors.New("runstore: corrupt checkpoint log"), true},
+	} {
+		if got := IsTransient(retryable(c.err)); got != c.transient {
+			t.Errorf("%v: transient = %v, want %v", c.err, got, c.transient)
+		}
 	}
 }
