@@ -53,7 +53,7 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		res := benchResult{name: fields[0]}
+		res := benchResult{name: trimProcs(fields[0])}
 		// fields[1] is the iteration count; the rest are "value unit"
 		// pairs. A trailing unpaired field (shouldn't happen) is ignored.
 		for i := 2; i+1 < len(fields); i += 2 {
@@ -73,6 +73,22 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		out[res.name] = res
 	}
 	return out, nil
+}
+
+// trimProcs strips the "-N" GOMAXPROCS suffix `go test -bench` appends
+// to every benchmark name when N > 1, so results from any core count
+// compare against the suffix-free baseline.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // tolerances bound how far a metric may drift above its baseline

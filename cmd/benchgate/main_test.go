@@ -42,6 +42,28 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchStripsProcsSuffix: on a multi-core host `go test
+// -bench` names results "BenchmarkX-2"; they must match the
+// suffix-free baseline names, while digits inside a name stay.
+func TestParseBenchStripsProcsSuffix(t *testing.T) {
+	const out = `BenchmarkTable1GateCounts-2   	       1	    271733 ns/op	  216920 B/op	    1565 allocs/op
+BenchmarkTrajectoryMixture/factored-qfa-22-k24-16 	       1	   1370000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkQFTApply8            	       1	     17656 ns/op	       0 B/op	       0 allocs/op
+`
+	got, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"BenchmarkTable1GateCounts", "BenchmarkTrajectoryMixture/factored-qfa-22-k24", "BenchmarkQFTApply8"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("missing %q in %v", name, got)
+		}
+	}
+	if tbl := got["BenchmarkTable1GateCounts"]; tbl.allocs != 1565 || tbl.name != "BenchmarkTable1GateCounts" {
+		t.Errorf("Table1 = %+v, want allocs=1565 under the suffix-free name", tbl)
+	}
+}
+
 func TestParseBenchBadValue(t *testing.T) {
 	if _, err := parseBench(strings.NewReader("BenchmarkX 1 oops B/op\n")); err == nil {
 		t.Fatal("want error for unparsable value")

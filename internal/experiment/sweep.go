@@ -176,15 +176,17 @@ func RunPanel(cfg PanelConfig, progress ProgressFunc) PanelResult {
 }
 
 // RunPanelCtx sweeps all (rate, depth) combinations of a panel on the
-// given runner. Every grid point runs concurrently as a coordinator
+// given runner. Grid points are admitted in grid order through a window
+// of Workers()+1 points; each admitted point runs as a coordinator
 // goroutine whose operand instances draw from the runner's single
 // bounded worker pool, so panel-level and instance-level parallelism
-// share one slot budget. Results land at their (rate, depth) grid
-// index, so output ordering — and therefore CSV bytes — is independent
-// of scheduling.
+// share one slot budget and cells complete roughly in grid order.
+// Results land at their (rate, depth) grid index, so output ordering —
+// and therefore CSV bytes — is independent of scheduling.
 //
-// Cancelling ctx stops the sweep mid-grid: no new instances are
-// scheduled, in-flight instances drain, and ctx.Err() is returned.
+// Cancelling ctx stops the sweep mid-grid: no new points are admitted,
+// no new instances are scheduled, in-flight instances drain, and
+// ctx.Err() is returned.
 func RunPanelCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, progress ProgressFunc) (PanelResult, error) {
 	return runPanel(ctx, r, cfg, "", Shard{}, nil, progress)
 }
@@ -194,6 +196,16 @@ func RunPanelCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, progre
 // only in whether cells are restored from / recorded into ck. A shard
 // with Count > 1 restricts the sweep to the cells it owns; unowned
 // cells stay zero in the result and are excluded from Progress.Total.
+//
+// Fresh cells are admitted in grid order through a window of
+// W = r.Workers()+1 points. Starting every cell at once would queue all
+// their instances FIFO on the pool's semaphore and interleave them, so
+// no cell would finish (or checkpoint) until the panel nearly ends.
+// With the window, at most W cells have instances in flight; the extra
+// one beyond the pool width keeps the pool fed while a finished cell's
+// last instances drain. A cell leaves the window when its instances are
+// done, before its checkpoint append, so the next cell's instances
+// queue while the append's fsync runs.
 func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel string, shard Shard, ck CheckpointStore, progress ProgressFunc) (PanelResult, error) {
 	out := PanelResult{Config: cfg, Points: make([][]PointResult, len(cfg.Rates))}
 	for i := range out.Points {
@@ -211,6 +223,30 @@ func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel str
 		restored int
 		firstErr error
 	)
+	// fail records err as the sweep's error unless one is already
+	// recorded; callers hold mu.
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	window := make(chan struct{}, r.Workers()+1)
+	// admit takes a window slot for the next fresh cell. It reports
+	// false once the sweep must stop admitting: on cancellation, which
+	// it records as the first error, or after any cell has failed. A
+	// slot taken just before stopping stays unused; nothing else waits
+	// on the window then.
+	admit := func() bool {
+		select {
+		case <-ctx.Done():
+		case window <- struct{}{}:
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		fail(ctx.Err())
+		return firstErr == nil
+	}
+grid:
 	for i, rate := range cfg.Rates {
 		for j, d := range cfg.Depths {
 			key := ""
@@ -223,12 +259,14 @@ func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel str
 			if ck != nil {
 				if raw, ok := ck.LookupPoint(key); ok {
 					pr, err := decodePoint(key, raw)
+					mu.Lock()
 					if err != nil {
-						return PanelResult{}, err
+						fail(err)
+						mu.Unlock()
+						break grid
 					}
 					out.Points[i][j] = pr
 					pointsRestored.Inc()
-					mu.Lock()
 					done++
 					restored++
 					if progress != nil {
@@ -238,10 +276,14 @@ func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel str
 					continue
 				}
 			}
+			if !admit() {
+				break grid
+			}
 			wg.Add(1)
 			go func(i, j int, key string, pc PointConfig) {
 				defer wg.Done()
 				pr, err := RunPointCtx(ctx, r, pc)
+				<-window
 				if err == nil && ck != nil {
 					// Record before acknowledging: a crash after the
 					// progress callback must never lose the point.
@@ -250,9 +292,7 @@ func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel str
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
+					fail(err)
 					return
 				}
 				out.Points[i][j] = pr

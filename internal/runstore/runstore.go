@@ -2,10 +2,13 @@
 // directory holding a JSON manifest (config hash, seeds, backend,
 // git-describe, start time) and an append-only per-point checkpoint log
 // (points.jsonl, one fsync'd record per completed point), so a killed
-// or crashed sweep loses at most the points still in flight. A resumed
-// run verifies the manifest's config hash, loads the log, and re-runs
-// only the remainder; because point seeds are derived deterministically,
-// the merged result is provably identical to an uninterrupted run.
+// or crashed sweep loses at most the points still in flight. A panel
+// runs at most W = workers + 1 points at a time, so that is about W
+// points' compute: the running points plus any whose record was still
+// being written. A resumed run verifies the manifest's config hash,
+// loads the log, and re-runs only the remainder; because point seeds
+// are derived deterministically, the merged result is provably
+// identical to an uninterrupted run.
 //
 // The package also owns artifact durability: WriteArtifact writes
 // final outputs (CSVs, summaries, bench markdown) via
@@ -107,7 +110,13 @@ type pointRecord struct {
 // The manifest is created with O_EXCL semantics, so when several
 // processes race to create the same run directory exactly one wins and
 // the others get the "use Resume" error instead of both initializing it.
+//
+// Create returns only once the run is durable: the manifest, the empty
+// checkpoint log, and the entry of every directory it had to create
+// are fsynced, so a crash after the first acknowledged point cannot
+// lose the log or the directory holding it.
 func Create(dir string, m Manifest) (*Run, error) {
+	created := missingDirs(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
@@ -126,7 +135,34 @@ func Create(dir string, m Manifest) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: open checkpoint log: %w", err)
 	}
+	// One sync of dir covers both new entries; then each directory
+	// MkdirAll created needs its own entry synced in its parent.
+	syncs := []string{dir}
+	for _, d := range created {
+		syncs = append(syncs, filepath.Dir(d))
+	}
+	for _, d := range syncs {
+		if err := syncDir(d); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("runstore: create %s: %w", dir, err)
+		}
+	}
 	return &Run{dir: dir, manifest: m, log: log, points: map[string]json.RawMessage{}}, nil
+}
+
+// missingDirs lists dir and each of its ancestors that does not exist
+// yet, deepest first: the directories os.MkdirAll(dir) will create.
+func missingDirs(dir string) []string {
+	var missing []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !os.IsNotExist(err) {
+			return missing
+		}
+		missing = append(missing, d)
+		if filepath.Dir(d) == d {
+			return missing
+		}
+	}
 }
 
 // Resume reopens an existing run directory, verifies its manifest's
@@ -345,7 +381,7 @@ func VerifyArtifact(path string) error {
 
 // writeFileExcl creates path with O_EXCL — failing with os.IsExist
 // when the file already exists, even against a concurrent creator —
-// writes data, fsyncs, and fsyncs the directory. Unlike
+// writes data and fsyncs it; the caller fsyncs the directory. Unlike
 // writeFileAtomic, which rename-clobbers, this is the primitive for
 // claims that must have exactly one winner (run-directory manifests).
 func writeFileExcl(path string, data []byte) error {
@@ -363,10 +399,7 @@ func writeFileExcl(path string, data []byte) error {
 		os.Remove(path)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return f.Close()
 }
 
 // syncDir fsyncs directory dir, making the creates and renames in it

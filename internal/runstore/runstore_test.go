@@ -70,6 +70,22 @@ func TestCreateResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCreateIntoMissingParents: Create makes every missing directory on
+// the way and leaves both the manifest and the (empty) checkpoint log.
+func TestCreateIntoMissingParents(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs", "job-000001")
+	run, err := runstore.Create(dir, testManifest("h"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	for _, name := range []string{"manifest.json", "points.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Create left no %s: %v", name, err)
+		}
+	}
+}
+
 func TestResumeRejectsConfigHashMismatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	run, err := runstore.Create(dir, testManifest("hash-a"))

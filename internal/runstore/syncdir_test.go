@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -17,5 +18,19 @@ func TestSyncDirReportsErrors(t *testing.T) {
 	err := syncDir(filepath.Join(dir, "missing"))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("syncDir on a missing directory: %v, want an fs.ErrNotExist error", err)
+	}
+}
+
+// TestMissingDirs: the directories Create must sync into their parents
+// are exactly those MkdirAll is about to create, deepest first.
+func TestMissingDirs(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "a", "b")
+	want := []string{dir, filepath.Join(base, "a")}
+	if got := missingDirs(dir); !slices.Equal(got, want) {
+		t.Errorf("missingDirs(%s) = %v, want %v", dir, got, want)
+	}
+	if got := missingDirs(base); len(got) != 0 {
+		t.Errorf("missingDirs of an existing directory = %v, want none", got)
 	}
 }

@@ -190,10 +190,11 @@ func (r *Registry) Snapshot() Snapshot {
 		case kindHistogram:
 			h := m.hist
 			h.mu.Lock()
+			w := h.sortedWindowLocked()
 			hs := HistogramSnap{
 				Name: m.name, Labels: labelMap(m.labels),
 				Count: h.count, Sum: h.sum,
-				P50: h.quantileLocked(0.50), P90: h.quantileLocked(0.90), P99: h.quantileLocked(0.99),
+				P50: nearestRank(w, 0.50), P90: nearestRank(w, 0.90), P99: nearestRank(w, 0.99),
 			}
 			if h.count > 0 {
 				hs.Min, hs.Max = h.min, h.max

@@ -163,16 +163,24 @@ func (h *Histogram) Sum() float64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.quantileLocked(q)
+	return nearestRank(h.sortedWindowLocked(), q)
 }
 
-func (h *Histogram) quantileLocked(q float64) float64 {
-	n := len(h.window)
+// sortedWindowLocked returns the sample window sorted ascending, in
+// the histogram's reusable scratch slice.
+func (h *Histogram) sortedWindowLocked() []float64 {
+	h.sorted = append(h.sorted[:0], h.window...)
+	sort.Float64s(h.sorted)
+	return h.sorted
+}
+
+// nearestRank returns the q-quantile of ascending samples by the
+// nearest-rank rule, or 0 when there are none.
+func nearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
 	if n == 0 {
 		return 0
 	}
-	h.sorted = append(h.sorted[:0], h.window...)
-	sort.Float64s(h.sorted)
 	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -180,7 +188,7 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return h.sorted[idx]
+	return sorted[idx]
 }
 
 // Span is a started timer that records its duration into a histogram

@@ -209,6 +209,58 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// snapshotGolden is fixedSnapshotRegistry's snapshot (timestamp
+// zeroed) as the one-quantile-per-sort implementation rendered it.
+const snapshotGolden = `{"timestamp":"0001-01-01T00:00:00Z","counters":[{"name":"test_total","value":2}],"gauges":[],"histograms":[{"name":"test_empty_seconds","count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0},{"name":"test_stage_seconds","labels":{"stage":"a"},"count":602,"sum":293.6949215531349,"min":0.0009227395057678223,"max":0.9996580481529236,"p50":0.48442065715789795,"p90":0.9137182235717773,"p99":0.9889965653419495},{"name":"test_stage_seconds","labels":{"stage":"b"},"count":602,"sum":323.10840624570847,"min":0.0021437406539916992,"max":0.9987314343452454,"p50":0.558455228805542,"p90":0.9251477122306824,"p99":0.9958024024963379}]}`
+
+// fixedSnapshotRegistry holds a counter, an empty histogram and two
+// labelled histograms whose windows have slid past their first samples.
+func fixedSnapshotRegistry() *Registry {
+	r := NewRegistry()
+	r.Counter("test_total").Add(2)
+	r.Histogram("test_empty_seconds")
+	x := uint64(12345)
+	for _, stage := range []string{"a", "b"} {
+		h := r.Histogram("test_stage_seconds", L("stage", stage))
+		for i := 0; i < windowSize+90; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			h.Observe(float64(x>>40) / (1 << 24))
+		}
+	}
+	return r
+}
+
+// TestSnapshotQuantilesFromOneSort: Snapshot sorts each window once for
+// all three quantiles; the values must equal Quantile's and the JSON
+// must stay byte-identical.
+func TestSnapshotQuantilesFromOneSort(t *testing.T) {
+	r := fixedSnapshotRegistry()
+	snap := r.Snapshot()
+	for _, hs := range snap.Histograms {
+		var labels []Label
+		for k, v := range hs.Labels {
+			labels = append(labels, L(k, v))
+		}
+		h := r.Histogram(hs.Name, labels...)
+		for _, tc := range []struct {
+			q   float64
+			got float64
+		}{{0.50, hs.P50}, {0.90, hs.P90}, {0.99, hs.P99}} {
+			if want := h.Quantile(tc.q); tc.got != want {
+				t.Errorf("%s%v p%g = %g, want Quantile = %g", hs.Name, hs.Labels, tc.q*100, tc.got, want)
+			}
+		}
+	}
+	snap.Timestamp = time.Time{}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != snapshotGolden {
+		t.Errorf("snapshot JSON changed:\n got %s\nwant %s", data, snapshotGolden)
+	}
+}
+
 func TestWriteSnapshotFile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_total").Add(9)
