@@ -282,9 +282,9 @@ func BenchmarkTrajectoryMixture(b *testing.B) {
 	})
 
 	// The fig3 workload's shape: full-depth adder, 2:2 input, K = 24,
-	// through the dense batched engine (the path before factoring) and
-	// through the factored engine, which simulates the 2 live blocks of
-	// 2^8 amplitudes instead of the 2^15 state.
+	// through the dense engine (the path before factoring) and through
+	// the factored engine, which simulates the 2 live blocks of 2^8
+	// amplitudes instead of the 2^15 state.
 	geo := experiment.PaperAddGeometry()
 	res := geo.BuildCircuit(qft.Full)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
@@ -306,7 +306,7 @@ func BenchmarkTrajectoryMixture(b *testing.B) {
 			for _, idx := range terms {
 				st.Amps()[idx] = 0.5
 			}
-			engine.MixtureBatchInto(out, st, opts, rng, sim.DefaultBatchLanes(geo.TotalQubits))
+			engine.MixtureInto(out, st, opts, rng)
 		}
 	})
 	b.Run("factored-qfa-22-k24", func(b *testing.B) {
@@ -350,35 +350,6 @@ func BenchmarkTrajectoryMixtureSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkTrajectoryMixtureBatch is the batched-engine counterpart of
-// BenchmarkTrajectoryMixtureSteadyState: the same qfa-d3 K=32 mixture
-// through MixtureBatchInto at several batch widths (batch=1 delegates to
-// the scalar engine and serves as the in-harness baseline). The ≥1.3×
-// batched-vs-scalar acceptance of the SoA engine is measured here; see
-// results/bench_batched_engine.md.
-func BenchmarkTrajectoryMixtureBatch(b *testing.B) {
-	geo := experiment.PaperAddGeometry()
-	res := geo.BuildCircuit(3)
-	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	st := sim.NewState(geo.TotalQubits)
-	out := make([]float64, 1<<uint(len(geo.OutReg)))
-	opts := noise.MixtureOpts{Trajectories: 32, Measure: geo.OutReg}
-	for _, batch := range []int{1, 2, 3, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("qfa-d3-k32-b%d", batch), func(b *testing.B) {
-			rng := sim.NewSampler(21, 42).Rand()
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			st.SetBasis(0)
-			engine.MixtureBatchInto(out, st, opts, rng, batch) // warm the pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.SetBasis(0)
-				engine.MixtureBatchInto(out, st, opts, rng, batch)
-			}
-		})
-	}
-}
-
 func BenchmarkTranspileQFM(b *testing.B) {
 	c := arith.NewQFM(4, 4, arith.DefaultConfig())
 	b.ResetTimer()
@@ -417,11 +388,11 @@ func BenchmarkSampler2048Shots(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplerMerge races the three bin-resolution strategies on
-// the same 256-bin / 2048-shot workload: the legacy per-shot binary
-// search (reference), the sorted-uniform merge, and the guide-table
-// stage the production tail uses. All three produce bit-identical
-// histograms; the numbers here justify which one runInstance runs.
+// BenchmarkSamplerMerge races the bin-resolution strategies on the same
+// 256-bin / 2048-shot workload: the per-shot binary search (reference)
+// and the guide-table stage the production tail uses. Both produce
+// bit-identical histograms; the numbers here justify which one
+// runInstance runs.
 func BenchmarkSamplerMerge(b *testing.B) {
 	probs := make([]float64, 256)
 	for i := range probs {
@@ -433,19 +404,6 @@ func BenchmarkSamplerMerge(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Counts(probs, shots)
-		}
-	})
-	b.Run("merge", func(b *testing.B) {
-		s := sim.NewSampler(9, 10)
-		sc := sim.GetSampleScratch()
-		defer sim.PutSampleScratch(sc)
-		out := make([]int, len(probs))
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		s.CountsMergeInto(sc, probs, shots, out)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.CountsMergeInto(sc, probs, shots, out)
 		}
 	})
 	b.Run("guide", func(b *testing.B) {

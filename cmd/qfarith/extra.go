@@ -121,7 +121,6 @@ func runAblateRouting(args []string) {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|"))
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory backend; 0 = auto, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory (per-topology checkpoints)")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed topologies")
 	shardStr := fs.String("shard", "", "run shard i/N of the topologies (requires -rundir, merge with merge-runs)")
@@ -141,7 +140,7 @@ func runAblateRouting(args []string) {
 	}
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := newRunnerOrExit(*backendName, *workers, *batch)
+	runner := newRunnerOrExit(*backendName, *workers)
 
 	geo := experiment.PaperAddGeometry()
 	cfg := experiment.PointConfig{
@@ -228,7 +227,6 @@ func runScaling(args []string) {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|")+" (density caps n at 5)")
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory backend; 0 = auto, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory (per-point checkpoints)")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
 	shardStr := fs.String("shard", "", "run shard i/N of the grid (requires -rundir, merge with merge-runs)")
@@ -250,7 +248,7 @@ func runScaling(args []string) {
 	extraScorers := parseScorers(*scorerList)
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := newRunnerOrExit(*backendName, *workers, *batch)
+	runner := newRunnerOrExit(*backendName, *workers)
 
 	var ns []int
 	for _, tok := range strings.Split(*widths, ",") {

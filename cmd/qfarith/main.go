@@ -138,7 +138,6 @@ type sweepFlags struct {
 	orderSets [][2]int
 	backend   string
 	workers   int
-	batch     int
 	rundir    string
 	resume    bool
 	shard     experiment.Shard
@@ -151,22 +150,14 @@ type sweepFlags struct {
 // runner builds the shared execution runner the sweep submits to: the
 // selected backend behind one bounded worker pool.
 func (sf sweepFlags) runner() *backend.Runner {
-	return newRunnerOrExit(sf.backend, sf.workers, sf.batch)
+	return newRunnerOrExit(sf.backend, sf.workers)
 }
 
-func newRunnerOrExit(backendName string, workers, batch int) *backend.Runner {
+func newRunnerOrExit(backendName string, workers int) *backend.Runner {
 	b, err := backend.New(backendName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
-	}
-	if batch > 0 {
-		bs, ok := b.(backend.BatchSizer)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "-batch requires a batching backend (have %q; use -backend trajectory)\n", backendName)
-			exit(2)
-		}
-		bs.SetBatchLanes(batch)
 	}
 	return backend.NewRunner(b, workers)
 }
@@ -296,12 +287,9 @@ func parseSweepFlags(args []string, name string) sweepFlags {
 	backendName := fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|"))
 	workers := fs.Int("workers", 0, "worker-pool size shared across points and instances (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories simulated per SoA batch (trajectory backend; 0 = auto-size to cache, 1 = scalar engine)")
 	rundir := fs.String("rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
 	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
 	shardStr := fs.String("shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
-	sampler := fs.String("sampler", experiment.SamplerMode(),
-		"shot-sampling stage: fast|legacy (bit-identical; legacy kept for equivalence checks)")
 	scorers := fs.String("scorers", "margin",
 		"success metrics, comma-separated (registered: "+strings.Join(metrics.ScorerNames(), ",")+"); margin is always on, extras append CSV columns")
 	var cf compileFlags
@@ -322,10 +310,6 @@ func parseSweepFlags(args []string, name string) sweepFlags {
 	}
 	if shard.Enabled() && *rundir == "" {
 		fmt.Fprintln(os.Stderr, "-shard requires -rundir (shard outputs are merged from run directories)")
-		exit(2)
-	}
-	if err := experiment.SetSamplerMode(*sampler); err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
 	extraScorers := parseScorers(*scorers)
@@ -356,7 +340,7 @@ func parseSweepFlags(args []string, name string) sweepFlags {
 	b.Workers = *workers
 	sf := sweepFlags{budget: b, outDir: *out, seed: *seed,
 		rates1q: experiment.PaperRates1Q, rates2q: experiment.PaperRates2Q,
-		backend: *backendName, workers: *workers, batch: *batch,
+		backend: *backendName, workers: *workers,
 		rundir: *rundir, resume: *resume, shard: shard,
 		pipeline: pcfg, scorers: extraScorers, prof: prof, telem: telem}
 	if *rates != "" {

@@ -57,7 +57,6 @@ func run(args []string) int {
 	data := fs.String("data", "qfarithd-data", "directory holding one run directory per job")
 	backendName := fs.String("backend", backend.DefaultName, "execution backend for all jobs")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "trajectories per SoA batch (trajectory backend; 0 = auto, 1 = scalar engine)")
 	jobs := fs.Int("jobs", 1, "jobs executing concurrently")
 	maxQueue := fs.Int("max-queue", 64, "queued-job capacity; submissions beyond it get HTTP 429")
 	maxRetries := fs.Int("max-retries", 2, "re-queues per job on transient failures (-1 disables)")
@@ -71,8 +70,8 @@ func run(args []string) int {
 
 	cfg := server.Config{
 		DataDir: *data, Backend: *backendName,
-		Workers: *workers, BatchLanes: *batch,
-		Jobs: *jobs, MaxQueue: *maxQueue, MaxRetries: *maxRetries,
+		Workers: *workers,
+		Jobs:    *jobs, MaxQueue: *maxQueue, MaxRetries: *maxRetries,
 	}
 	shared := *telemetryAddr == "" || *telemetryAddr == *addr
 	if shared {

@@ -6,13 +6,11 @@
 //     at large widths) — the stratified Pauli-trajectory mixture engine
 //     (internal/noise). A circuit whose key registers stay in the
 //     computational basis (the operands of the paper's adders and
-//     multipliers), run on an input spanning few key values, takes the
-//     factored path: the input terms load straight into sim.Blocks, one
-//     small State per live key value, and no 2^n state is taken. Other
-//     runs take the dense path, where noisy runs simulate their
-//     trajectories in structure-of-arrays batches sized by
-//     sim.DefaultBatchLanes; SetBatchLanes overrides the width and 1
-//     selects the scalar engine. All paths are bit-identical for equal
+//     multipliers, routed or not), run on an input spanning few key
+//     values, takes the factored path: the input terms load straight
+//     into sim.Blocks, one small State per live key value, and no 2^n
+//     state is taken. Other runs take the dense path, one statevector
+//     through noise.MixtureInto. Both paths are bit-identical for equal
 //     seeds. "trajectory-batch" is a registry alias for the same
 //     backend, kept so run directories that recorded that name still
 //     resume;
@@ -21,9 +19,9 @@
 //     free, usable as ground truth at small register widths.
 //
 // Inputs are sparse (PointSpec.Initial lists the nonzero amplitudes), so
-// a dense trajectory run holds one 2^n statevector — the input, advanced
-// in place as the error-free prefix — plus the batch lanes, and no dense
-// copy of the input; a factored run holds two sets of live blocks.
+// a dense trajectory run holds two 2^n statevectors — the error-free
+// prefix and the trajectory being run — and a factored run two sets of
+// live blocks.
 //
 // The package also provides a Runner (one bounded worker pool shared
 // across every parallelism level of a sweep, with context cancellation)

@@ -2,7 +2,6 @@ package backend_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -205,14 +204,12 @@ func TestDensityMatchesTrajectory(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineBitIdenticalToScalar pins the default backend's core
-// contract on the paper's Fig. 3 adder (15 qubits, K = 24, λ2 = 1%):
-// backend.New("") runs the batched engine, and for equal seeds it
-// returns the exact bytes the scalar engine (one lane) returns — at
-// automatic sizing, at several fixed widths, and under the
-// "trajectory-batch" alias. The input spans all 128 addend values, too
-// many for the factored path, so the dense batched kernels are the ones
-// compared.
+// TestDefaultEngineBitIdenticalToScalar pins the default backend's dense
+// path on the paper's Fig. 3 adder (15 qubits, K = 24, λ2 = 1%): the
+// input spans all 128 addend values, too many for the factored path, so
+// backend.New("") and its "trajectory-batch" alias each record one dense
+// run and return the exact bytes noise.MixtureInto computes on the same
+// input and seeds.
 func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 	geo := experiment.PaperAddGeometry()
 	var initial []backend.Amp
@@ -228,53 +225,49 @@ func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 		Trajectories: 24,
 		Seed1:        7, Seed2: 8,
 	}
-	scalar := backend.NewTrajectoryBackend()
-	scalar.SetBatchLanes(1)
-	want, wantDiag, err := scalar.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	st := sim.NewState(15)
+	clear(st.Amps())
+	for _, a := range initial {
+		st.Amps()[a.Index] = a.Value
 	}
-	batches := func() uint64 { return telemetry.Default().CounterSum("qfarith_mixture_batches_total") }
+	st.Normalize()
+	want := make([]float64, 1<<8)
+	wantIdeal := make([]float64, len(want))
+	noise.NewEngine(spec.Circuit, spec.Model).MixtureInto(want, st, noise.MixtureOpts{
+		Trajectories: spec.Trajectories, Measure: spec.Measure, IdealOut: wantIdeal,
+	}, rand.New(rand.NewPCG(spec.Seed1, spec.Seed2)))
 
-	check := func(label string, b backend.Backend) {
-		t.Helper()
-		before := batches()
-		got, diag, err := b.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if batches() == before {
-			t.Errorf("%s: ran no SoA batch; the default engine must batch at 15 qubits", label)
-		}
-		if diag.Backend != backend.DefaultName {
-			t.Errorf("%s: diagnostics name %q", label, diag.Backend)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("%s: dist[%d] = %g, scalar %g", label, i, got[i], want[i])
-			}
-			if math.Float64bits(wantDiag.Ideal[i]) != math.Float64bits(diag.Ideal[i]) {
-				t.Fatalf("%s: ideal[%d] = %g, scalar %g", label, i, diag.Ideal[i], wantDiag.Ideal[i])
-			}
-		}
-	}
+	dense := telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "dense"))
 	for _, name := range []string{"", "trajectory-batch"} {
 		b, err := backend.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("New(%q)", name), b)
-	}
-	for _, lanes := range []int{2, 3, 8} {
-		b := backend.NewTrajectoryBackend()
-		b.SetBatchLanes(lanes)
-		check(fmt.Sprintf("lanes=%d", lanes), b)
+		before := dense.Value()
+		got, diag, err := b.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if dense.Value() != before+1 {
+			t.Errorf("New(%q): took no dense run on a full-support input", name)
+		}
+		if diag.Backend != backend.DefaultName {
+			t.Errorf("New(%q): diagnostics name %q", name, diag.Backend)
+		}
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("New(%q): dist[%d] = %g, MixtureInto %g", name, i, got[i], want[i])
+			}
+			if math.Float64bits(wantIdeal[i]) != math.Float64bits(diag.Ideal[i]) {
+				t.Fatalf("New(%q): ideal[%d] = %g, MixtureInto %g", name, i, diag.Ideal[i], wantIdeal[i])
+			}
+		}
 	}
 }
 
 // TestFactoredRunMatchesDenseOracle: a fig3 2:2 instance takes the
 // factored path, as the runs counter records, and its distributions are
-// the exact bytes the dense scalar engine computes on the same input and
+// the exact bytes the dense engine computes on the same input and
 // seeds.
 func TestFactoredRunMatchesDenseOracle(t *testing.T) {
 	geo := experiment.PaperAddGeometry()

@@ -37,11 +37,9 @@ var (
 // exact and the conditional (≥1 error) remainder is Monte Carlo over
 // spec.Trajectories samples. It is the default backend and the one that
 // reproduces the paper's per-shot noise semantics. Runs whose input
-// spans few values of the circuit's key qubits go through
-// noise.MixtureFactoredInto on live blocks; the rest through
-// noise.MixtureBatchInto, batched at the configured lane count, which
-// falls back to the scalar path for one lane, one trajectory or a
-// noiseless model.
+// spans few values of the circuit's key wires go through
+// noise.MixtureFactoredInto on live blocks; the rest through the dense
+// noise.MixtureInto.
 //
 // The backend caches noise engines per (circuit, model) pair in an LRU
 // of maxCachedEngines entries, so the per-circuit precomputation (error
@@ -54,9 +52,6 @@ type TrajectoryBackend struct {
 	hits      int
 	misses    int
 	evictions int
-	// batch is the configured lane count; 0 selects the automatic
-	// cache-sized width (sim.DefaultBatchLanes) per circuit.
-	batch int
 }
 
 type engineKey struct {
@@ -134,19 +129,10 @@ func (t *TrajectoryBackend) EngineCacheLen() int {
 	return t.order.Len()
 }
 
-// SetBatchLanes implements BatchSizer: lanes > 0 fixes the number of
-// trajectories simulated per structure-of-arrays batch (1 selects the
-// scalar engine), 0 restores the per-circuit automatic width
-// sim.DefaultBatchLanes. Call it before the backend runs specs.
-func (t *TrajectoryBackend) SetBatchLanes(lanes int) {
-	t.batch = max(lanes, 0)
-}
-
 // Run implements Backend. The RNG stream is fully determined by
 // (Seed1, Seed2), so equal specs give bit-identical distributions
-// regardless of scheduling or batch width. The statevector and batch
-// lanes are pooled; only the returned distributions are freshly
-// allocated.
+// regardless of scheduling or engine. The states are pooled; only the
+// returned distributions are freshly allocated.
 func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distribution, Diagnostics, error) {
 	if err := spec.validate(); err != nil {
 		return nil, Diagnostics{}, err
@@ -168,15 +154,10 @@ func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distributi
 		engine.MixtureFactoredInto(dist, fs, opts, rng)
 		mixRunsFactored.Inc()
 	} else {
-		n := spec.Circuit.NumQubits
-		batch := t.batch
-		if batch == 0 {
-			batch = sim.DefaultBatchLanes(n)
-		}
-		st := sim.GetScratchState(n)
+		st := sim.GetScratchState(spec.Circuit.NumQubits)
 		defer sim.PutScratchState(st)
 		spec.prepare(st)
-		engine.MixtureBatchInto(dist, st, opts, rng, batch)
+		engine.MixtureInto(dist, st, opts, rng)
 		mixRunsDense.Inc()
 	}
 	diag := Diagnostics{
@@ -186,14 +167,6 @@ func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distributi
 		Ideal:          ideal,
 	}
 	return dist, diag, nil
-}
-
-// BatchSizer is implemented by backends whose trajectory batch width is
-// configurable (the -batch CLI flag).
-type BatchSizer interface {
-	// SetBatchLanes fixes the number of trajectories simulated per
-	// batch; 0 selects the backend's automatic sizing.
-	SetBatchLanes(lanes int)
 }
 
 // EngineCacheStatser is implemented by backends that expose engine-LRU

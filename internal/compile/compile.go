@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"qfarith/internal/circuit"
+	"qfarith/internal/gate"
 	"qfarith/internal/layout"
 	"qfarith/internal/transpile"
 )
@@ -163,12 +164,16 @@ type Pipeline struct {
 
 // New validates cfg and returns its pipeline. Structural constraints:
 // decompose must appear exactly once, fuse (if present) must be last,
-// route must come after decompose and requires Coupling, and every
-// name must be a known pass.
+// route must come after decompose and requires Coupling, only fuse may
+// follow route (a transform pass would see each routing SWAP as one
+// op, not its 3 CX), and every name must be a known pass.
 func New(cfg Config) (*Pipeline, error) {
 	list := cfg.PassList()
-	decomposeAt := -1
+	decomposeAt, routed := -1, false
 	for i, name := range list {
+		if routed && name != PassFuse {
+			return nil, fmt.Errorf("compile: only fuse may follow route, got %q in %v", name, list)
+		}
 		switch name {
 		case PassDecompose:
 			if decomposeAt >= 0 {
@@ -186,8 +191,9 @@ func New(cfg Config) (*Pipeline, error) {
 			if cfg.Coupling == "" {
 				return nil, fmt.Errorf("compile: route pass requires Config.Coupling")
 			}
+			routed = true
 		case PassSinkDiagonals, PassCancelInverses, PassFoldAngles, PassPruneZeroAngle:
-			// transform passes: valid anywhere before fuse
+			// transform passes: valid anywhere before route and fuse
 		default:
 			return nil, fmt.Errorf("compile: unknown pass %q (known: %s)", name, strings.Join(KnownPasses(), ", "))
 		}
@@ -246,7 +252,7 @@ func (p *Pipeline) Compile(c *circuit.Circuit) (*Artifact, error) {
 		case PassRoute:
 			routed := layout.Route(cur, p.coupling, nil)
 			next = routed.Circuit
-			st = measure(PassRoute, cur, next)
+			st = measure(PassRoute, cur, lowerSwaps(next))
 			st.Swaps = routed.SwapCount
 			art.Routed = routed
 			nativeChanged = true
@@ -257,7 +263,8 @@ func (p *Pipeline) Compile(c *circuit.Circuit) (*Artifact, error) {
 			nativeChanged = false
 			fp := res.Fused()
 			next = cur
-			st = measure(PassFuse, cur, next)
+			native := lowerSwaps(cur)
+			st = measure(PassFuse, native, native)
 			st.Segments = len(fp.Segments)
 		default:
 			var pass Pass
@@ -289,8 +296,19 @@ func (p *Pipeline) Compile(c *circuit.Circuit) (*Artifact, error) {
 		art.Stats = append(art.Stats, st)
 	}
 	art.Result = p.finalResult(res, cur, nativeChanged)
-	art.NativeDepth = cur.Depth()
+	art.NativeDepth = lowerSwaps(cur).Depth()
 	return art, nil
+}
+
+// lowerSwaps returns c with each routing SWAP lowered to its 3 CX, so
+// route statistics count the native gates the noise model sees.
+func lowerSwaps(c *circuit.Circuit) *circuit.Circuit {
+	for _, op := range c.Ops {
+		if op.Kind == gate.SWAP {
+			return transpile.Transpile(c).Circuit()
+		}
+	}
+	return c
 }
 
 // finalResult settles the executable Result: the span-exact decompose

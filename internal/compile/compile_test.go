@@ -125,6 +125,11 @@ func TestValidationErrors(t *testing.T) {
 		{"route-no-coupling", Config{Passes: []string{PassDecompose, PassRoute}}, "Coupling"},
 		{"unknown-pass", Config{Passes: []string{PassDecompose, "magic"}}, "unknown pass"},
 		{"bad-coupling", Config{Passes: []string{PassDecompose, PassRoute}, Coupling: "torus:3"}, "unknown coupling"},
+		{"cancel-after-route", Config{Passes: []string{PassDecompose, PassRoute, PassCancelInverses, PassFuse}, Coupling: "linear:5"}, "only fuse may follow route"},
+		{"fold-after-route", Config{Passes: []string{PassDecompose, PassRoute, PassFoldAngles}, Coupling: "linear:5"}, "only fuse may follow route"},
+		{"prune-after-route", Config{Passes: []string{PassDecompose, PassRoute, PassPruneZeroAngle, PassFuse}, Coupling: "linear:5"}, "only fuse may follow route"},
+		{"sink-after-route", Config{Passes: []string{PassDecompose, PassRoute, PassSinkDiagonals}, Coupling: "linear:5"}, "only fuse may follow route"},
+		{"decompose-after-route", Config{Passes: []string{PassDecompose, PassRoute, PassDecompose}, Coupling: "linear:5"}, "only fuse may follow route"},
 	}
 	for _, cse := range cases {
 		_, err := New(cse.cfg)

@@ -270,21 +270,6 @@ func (cfg PointConfig) initialTerms(buf []backend.Amp, xs, ys []int) []backend.A
 	return buf
 }
 
-// correctSet returns the expected output values for the operands.
-func (cfg PointConfig) correctSet(xs, ys []int) map[int]bool {
-	g := cfg.Geometry
-	switch g.Op {
-	case OpAdd:
-		return metrics.CorrectSums(xs, ys, g.OutBits)
-	case OpSub:
-		return metrics.CorrectDiffs(xs, ys, g.OutBits)
-	case OpMulSigned:
-		return metrics.CorrectSignedProducts(xs, ys, g.XBits, g.YBits)
-	default:
-		return metrics.CorrectProducts(xs, ys, g.OutBits)
-	}
-}
-
 // mixtureSeed2 is the fixed second PCG seed word of the per-instance
 // trajectory RNG (the first word chains PointSeed with the instance
 // index). It predates the backend layer; keeping it preserves

@@ -7,9 +7,8 @@ import (
 )
 
 // SweepSpec is the hashed identity of a figure sweep: every field that
-// determines point results. Scheduling knobs (workers, batch width,
-// output paths) are deliberately excluded — they cannot change results
-// (the batched engine is bit-identical at every width), so a resumed
+// determines point results. Scheduling knobs (workers, output paths)
+// are deliberately excluded — they cannot change results, so a resumed
 // run may vary them freely.
 //
 // The JSON encoding of this struct is a frozen wire format: runstore

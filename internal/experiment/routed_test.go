@@ -7,6 +7,7 @@ import (
 	"qfarith/internal/layout"
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
+	"qfarith/internal/telemetry"
 )
 
 func TestRoutedNoiselessMatchesUnrouted(t *testing.T) {
@@ -33,6 +34,24 @@ func TestRoutedNoiseExposureGrows(t *testing.T) {
 	if routed.NoErrorProb >= base.NoErrorProb {
 		t.Errorf("routed w0 %.3f should fall below base %.3f",
 			routed.NoErrorProb, base.NoErrorProb)
+	}
+}
+
+// TestRoutedPointsRunFactored: a routed adder keeps its addend wires
+// in the computational basis through every swap, so each routed
+// instance takes the factored engine.
+func TestRoutedPointsRunFactored(t *testing.T) {
+	runs := func(state string) uint64 {
+		return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
+	}
+	for _, cm := range []*layout.CouplingMap{layout.Linear(7), layout.Grid(2, 4), layout.HeavyHexFalcon27()} {
+		cfg := smallAddPoint(noise.PaperModel(0.002, 0.01), 1, 2)
+		factored, dense := runs("factored"), runs("dense")
+		experiment.RunRoutedPoint(cfg, cm)
+		if got := runs("factored") - factored; got != uint64(cfg.Instances) || runs("dense") != dense {
+			t.Errorf("%d-qubit map: %d of %d instances factored, %d dense",
+				cm.NumQubits, got, cfg.Instances, runs("dense")-dense)
+		}
 	}
 }
 

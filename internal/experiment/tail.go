@@ -7,72 +7,13 @@
 package experiment
 
 import (
-	"fmt"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"qfarith/internal/backend"
 	"qfarith/internal/metrics"
 	"qfarith/internal/sim"
 	"qfarith/internal/telemetry"
 )
-
-// Sampler-mode toggle. The constant-time guide-table sampler is
-// bit-identical to the legacy inverse-CDF binary search (CI byte-diffs
-// fixed-seed CSVs with the toggle in both positions); the legacy path
-// is retained as the reference the equivalence job compares against.
-const (
-	// SamplerFast selects the pooled guide-table sampling stage
-	// (sim.CountsInto) — the default.
-	SamplerFast = "fast"
-	// SamplerLegacy selects the original allocating O(shots·log M)
-	// binary-search stage (sim.Sampler.Counts).
-	SamplerLegacy = "legacy"
-)
-
-// legacySampler is 1 when the legacy stage is selected. An atomic so
-// tests and the CLI may flip it while instances run on worker
-// goroutines.
-var legacySampler atomic.Bool
-
-// init honors the QFARITH_SAMPLER environment variable, the rebuild-free
-// toggle the CI equivalence job uses.
-func init() {
-	if err := setSamplerEnv(os.Getenv("QFARITH_SAMPLER")); err != nil {
-		fmt.Fprintln(os.Stderr, "experiment:", err)
-	}
-}
-
-func setSamplerEnv(v string) error {
-	if v == "" {
-		return nil
-	}
-	return SetSamplerMode(v)
-}
-
-// SetSamplerMode selects the shot-sampling implementation ("fast" or
-// "legacy"). Both produce bit-identical histograms for equal seeds;
-// the toggle exists so CI can prove exactly that on full sweeps.
-func SetSamplerMode(mode string) error {
-	switch mode {
-	case SamplerFast:
-		legacySampler.Store(false)
-	case SamplerLegacy:
-		legacySampler.Store(true)
-	default:
-		return fmt.Errorf("unknown sampler mode %q (want %q or %q)", mode, SamplerFast, SamplerLegacy)
-	}
-	return nil
-}
-
-// SamplerMode reports the currently selected shot-sampling mode.
-func SamplerMode() string {
-	if legacySampler.Load() {
-		return SamplerLegacy
-	}
-	return SamplerFast
-}
 
 // instanceScratch pools every per-instance buffer of the run/sample/
 // score tail: the sparse input terms, the shot histogram, the sorted
@@ -173,28 +114,17 @@ func (sr *scorerRun) aggregate() []metrics.MetricValue {
 // sampleAndScore runs the shot-sampling and scoring tail of one operand
 // instance against its measurement distribution: reseed the pooled
 // sampler with the instance's historical seed derivation, draw
-// cfg.Shots shots (guide-table or legacy binary search, per the
-// toggle), and score the histogram with the paper's metric plus the
-// classical ideal-vs-noisy fidelity. Additional scorers (srun non-nil)
-// then read the same histogram once each. dist and ideal are only read.
+// cfg.Shots shots through the guide table, and score the histogram with
+// the paper's metric plus the classical ideal-vs-noisy fidelity.
+// Additional scorers (srun non-nil) then read the same histogram once
+// each. dist and ideal are only read.
 func (cfg PointConfig) sampleAndScore(sc *instanceScratch, idx int, xs, ys []int, dist, ideal []float64, srun *scorerRun) metrics.InstanceResult {
 	sp := telemetry.StartSpan(sampleSec)
-	seed1, seed2 := splitSeed(cfg.PointSeed, uint64(idx)^0xabcdef), uint64(idx)
-	var ir metrics.InstanceResult
-	var counts, correct []int
-	if legacySampler.Load() {
-		counts = sim.NewSampler(seed1, seed2).Counts(dist, cfg.Shots)
-		ir = metrics.Score(counts, cfg.correctSet(xs, ys))
-		if srun != nil {
-			correct = cfg.correctSorted(sc, xs, ys)
-		}
-	} else {
-		sc.sampler.Reseed(seed1, seed2)
-		counts = sc.countsBuf(len(dist))
-		sc.sampler.CountsInto(sc.sample, dist, cfg.Shots, counts)
-		correct = cfg.correctSorted(sc, xs, ys)
-		ir = metrics.ScoreSorted(counts, correct)
-	}
+	sc.sampler.Reseed(cfg.sampleSeeds(idx))
+	counts := sc.countsBuf(len(dist))
+	sc.sampler.CountsInto(sc.sample, dist, cfg.Shots, counts)
+	correct := cfg.correctSorted(sc, xs, ys)
+	ir := metrics.ScoreSorted(counts, correct)
 	shotsTotal.Add(uint64(cfg.Shots))
 	ir.Fidelity = metrics.ClassicalFidelity(ideal, dist)
 	sp.End()
@@ -205,6 +135,11 @@ func (cfg PointConfig) sampleAndScore(sc *instanceScratch, idx int, xs, ys []int
 		})
 	}
 	return ir
+}
+
+// sampleSeeds derives instance idx's shot-sampler seeds.
+func (cfg PointConfig) sampleSeeds(idx int) (uint64, uint64) {
+	return splitSeed(cfg.PointSeed, uint64(idx)^0xabcdef), uint64(idx)
 }
 
 // SampleAndScore is the exported form of the instance tail for

@@ -1,49 +1,41 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"runtime/debug"
 	"testing"
 
+	"qfarith/internal/backend"
+	"qfarith/internal/metrics"
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
+	"qfarith/internal/sim"
 )
 
-// withSamplerMode runs f under the given sampler mode, restoring the
-// previous mode afterwards.
-func withSamplerMode(t *testing.T, mode string, f func()) {
-	t.Helper()
-	prev := SamplerMode()
-	if err := SetSamplerMode(mode); err != nil {
-		t.Fatal(err)
-	}
-	defer SetSamplerMode(prev)
-	f()
-}
-
-func TestSetSamplerMode(t *testing.T) {
-	if got := SamplerMode(); got != SamplerFast {
-		t.Fatalf("default mode = %q, want %q", got, SamplerFast)
-	}
-	withSamplerMode(t, SamplerLegacy, func() {
-		if got := SamplerMode(); got != SamplerLegacy {
-			t.Fatalf("mode = %q, want %q", got, SamplerLegacy)
-		}
-	})
-	if err := SetSamplerMode("turbo"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if got := SamplerMode(); got != SamplerFast {
-		t.Fatalf("mode after restore = %q, want %q", got, SamplerFast)
+// correctSet returns the expected output values for the operands, as
+// the map metrics.Score reads.
+func (cfg PointConfig) correctSet(xs, ys []int) map[int]bool {
+	g := cfg.Geometry
+	switch g.Op {
+	case OpAdd:
+		return metrics.CorrectSums(xs, ys, g.OutBits)
+	case OpSub:
+		return metrics.CorrectDiffs(xs, ys, g.OutBits)
+	case OpMulSigned:
+		return metrics.CorrectSignedProducts(xs, ys, g.XBits, g.YBits)
+	default:
+		return metrics.CorrectProducts(xs, ys, g.OutBits)
 	}
 }
 
-// TestRunPointSamplerEquivalence is the bit-exactness contract at the
-// experiment layer: a full point run must produce identical results —
-// success rates, margins, fidelities, diagnostics — under the legacy
-// binary-search sampler and the pooled guide-table sampler.
+// TestRunPointSamplerEquivalence is the bit-exactness contract of the
+// instance tail: on every instance of a point, for the distributions a
+// noisy run produces, the pooled guide-table tail returns the same
+// InstanceResult as the allocating binary-search oracle —
+// sim.Sampler.Counts scored by metrics.Score — with the same seeds.
 func TestRunPointSamplerEquivalence(t *testing.T) {
-	for _, geo := range []Geometry{AddGeometry(3, 4), MulGeometry(3, 3)} {
+	for _, geo := range []Geometry{AddGeometry(3, 4), MulGeometry(3, 3), SubGeometry(3, 4)} {
 		cfg := PointConfig{
 			Geometry:     geo,
 			Depth:        qft.Full,
@@ -56,14 +48,26 @@ func TestRunPointSamplerEquivalence(t *testing.T) {
 			RowSeed:      11,
 			PointSeed:    777,
 		}
-		var legacy, fast PointResult
-		withSamplerMode(t, SamplerLegacy, func() { legacy = RunPoint(cfg) })
-		withSamplerMode(t, SamplerFast, func() { fast = RunPoint(cfg) })
-		if !reflect.DeepEqual(legacy.Stats, fast.Stats) {
-			t.Errorf("%v: stats differ:\nlegacy %+v\nfast   %+v", geo.Op, legacy.Stats, fast.Stats)
+		b, err := backend.New(backend.DefaultName)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if legacy.NoErrorProb != fast.NoErrorProb || legacy.ExpectedErrors != fast.ExpectedErrors {
-			t.Errorf("%v: diagnostics differ", geo.Op)
+		res := geo.BuildCircuit(cfg.Depth)
+		for idx := 0; idx < cfg.Instances; idx++ {
+			xs, ys := cfg.instanceOperands(idx)
+			dist, diag, err := b.Run(context.Background(), backend.PointSpec{
+				Circuit: res, Model: cfg.Model, Initial: cfg.initialTerms(nil, xs, ys),
+				Measure: geo.OutReg, Trajectories: cfg.Trajectories,
+				Seed1: splitSeed(cfg.PointSeed, uint64(idx)), Seed2: mixtureSeed2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := metrics.Score(sim.NewSampler(cfg.sampleSeeds(idx)).Counts(dist, cfg.Shots), cfg.correctSet(xs, ys))
+			want.Fidelity = metrics.ClassicalFidelity(diag.Ideal, dist)
+			if got := cfg.SampleAndScore(idx, xs, ys, dist, diag.Ideal); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v instance %d: pooled tail %+v, oracle %+v", geo.Op, idx, got, want)
+			}
 		}
 	}
 }
@@ -89,13 +93,11 @@ func TestSampleAndScoreZeroAlloc(t *testing.T) {
 	}
 	xs, ys := cfg.instanceOperands(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	withSamplerMode(t, SamplerFast, func() {
-		cfg.SampleAndScore(0, xs, ys, dist, dist) // warm the pool
-		allocs := testing.AllocsPerRun(20, func() {
-			cfg.SampleAndScore(0, xs, ys, dist, dist)
-		})
-		if allocs != 0 {
-			t.Errorf("warm SampleAndScore allocates %.1f times per run, want 0", allocs)
-		}
+	cfg.SampleAndScore(0, xs, ys, dist, dist) // warm the pool
+	allocs := testing.AllocsPerRun(20, func() {
+		cfg.SampleAndScore(0, xs, ys, dist, dist)
 	})
+	if allocs != 0 {
+		t.Errorf("warm SampleAndScore allocates %.1f times per run, want 0", allocs)
+	}
 }

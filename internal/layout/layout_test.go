@@ -77,12 +77,20 @@ func TestRouteInsertsSwapsForDistantPairs(t *testing.T) {
 	if r.SwapCount != 2 {
 		t.Errorf("distance-3 CX should need 2 swaps, got %d", r.SwapCount)
 	}
-	// Every emitted 2q gate must lie on a coupling edge.
+	// Every emitted 2q gate must lie on a coupling edge, and each swap
+	// is one SWAP op.
 	cm := layout.Linear(4)
+	swaps := 0
 	for _, op := range r.Circuit.Ops {
 		if op.Kind.Arity() == 2 && !cm.Connected(op.Qubits[0], op.Qubits[1]) {
 			t.Fatalf("routed gate off-edge: %v", op)
 		}
+		if op.Kind == gate.SWAP {
+			swaps++
+		}
+	}
+	if swaps != r.SwapCount || len(r.Circuit.Ops) != swaps+1 {
+		t.Errorf("routed ops %v: want %d SWAP ops and the CX", r.Circuit.Ops, r.SwapCount)
 	}
 }
 

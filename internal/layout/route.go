@@ -11,8 +11,8 @@ import (
 // physical qubit bookkeeping needed to interpret its outputs.
 type Routed struct {
 	// Circuit acts on physical qubit indices and contains only gates
-	// whose 2q interactions lie on coupling-map edges (inserted SWAPs
-	// are decomposed into 3 CX).
+	// whose 2q interactions lie on coupling-map edges. Each inserted
+	// swap is one SWAP op; transpile lowers it to 3 CX.
 	Circuit *circuit.Circuit
 	// InitialLayout[l] is the physical qubit initially holding logical
 	// qubit l; FinalLayout is the same after all routing SWAPs.
@@ -67,10 +67,8 @@ func Route(c *circuit.Circuit, cm *CouplingMap, initial []int) *Routed {
 	r := &Routed{InitialLayout: append([]int(nil), l2p...)}
 
 	swapPhys := func(a, b int) {
-		// Emit SWAP as 3 CX on the edge and update the mapping.
-		out.Append(gate.CX, 0, a, b)
-		out.Append(gate.CX, 0, b, a)
-		out.Append(gate.CX, 0, a, b)
+		// Emit one SWAP on the edge and update the mapping.
+		out.Append(gate.SWAP, 0, a, b)
 		la, lb := p2l[a], p2l[b]
 		p2l[a], p2l[b] = lb, la
 		if la >= 0 {
@@ -121,24 +119,29 @@ type Overhead struct {
 	CXFactor         float64
 }
 
-// RoutingOverhead routes c on cm and reports the CX inflation.
+// RoutingOverhead routes c on cm and reports the CX inflation, counting
+// each SWAP as the 3 CX it lowers to.
 func RoutingOverhead(c *circuit.Circuit, cm *CouplingMap) Overhead {
-	base := 0
-	for _, op := range c.Ops {
-		if op.Kind.Arity() == 2 {
-			base++
-		}
-	}
 	r := Route(c, cm, nil)
-	routed := 0
-	for _, op := range r.Circuit.Ops {
-		if op.Kind.Arity() == 2 {
-			routed++
-		}
-	}
+	base, routed := twoQubitCount(c), twoQubitCount(r.Circuit)
 	o := Overhead{BaseCX: base, RoutedCX: routed, Swaps: r.SwapCount}
 	if base > 0 {
 		o.CXFactor = float64(routed) / float64(base)
 	}
 	return o
+}
+
+// twoQubitCount counts the 2q gates of a native circuit, a SWAP as its
+// 3 CX.
+func twoQubitCount(c *circuit.Circuit) int {
+	n := 0
+	for _, op := range c.Ops {
+		switch {
+		case op.Kind == gate.SWAP:
+			n += 3
+		case op.Kind.Arity() == 2:
+			n++
+		}
+	}
+	return n
 }

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/cmplx"
 
+	"qfarith/internal/circuit"
 	"qfarith/internal/gate"
 	"qfarith/internal/sim"
+	"qfarith/internal/transpile"
 )
 
 // An event-containing span is expanded into its native gates, each a
@@ -27,7 +29,7 @@ const maxDenseDim = 1 << sim.MaxDenseQubits
 func (e *Engine) applyEventSpan(st *sim.State, si int, events []Event) bool {
 	var qs [sim.MaxDenseQubits]int
 	var rm [maxDenseDim * maxDenseDim]complex128
-	k, ok := e.composeEventSpan(si, events, &qs, &rm)
+	k, ok := composeSpan(e.Res.Ops, e.Res.Spans[si], events, &qs, &rm)
 	if !ok {
 		return false
 	}
@@ -35,29 +37,15 @@ func (e *Engine) applyEventSpan(st *sim.State, si int, events []Event) bool {
 	return true
 }
 
-// applyEventSpanLane is applyEventSpan on one lane of a batch: the same
-// composed dense unitary goes through ApplyKQBatch, whose per-lane
-// arithmetic is bit-identical to State.ApplyKQ.
-func (e *Engine) applyEventSpanLane(bs *sim.BatchState, si int, events []Event, lane int) bool {
-	var qs [sim.MaxDenseQubits]int
-	var rm [maxDenseDim * maxDenseDim]complex128
-	k, ok := e.composeEventSpan(si, events, &qs, &rm)
-	if !ok {
-		return false
-	}
-	bs.ApplyKQBatch(qs[:k], rm[:(1<<uint(k))*(1<<uint(k))], lane, lane+1)
-	return true
-}
-
-// composeEventSpan composes span si's native ops with the given events
+// composeSpan composes the native ops[span] with the given events
 // inserted into one row-major dense unitary on the span's distinct
-// qubits, filling qs[:k] and rm[:2^k*2^k]. Returns ok=false if the span
-// touches more than MaxDenseQubits distinct qubits.
-func (e *Engine) composeEventSpan(si int, events []Event, qs *[sim.MaxDenseQubits]int, rm *[maxDenseDim * maxDenseDim]complex128) (int, bool) {
-	span := e.Res.Spans[si]
+// qubits, in order of first use, filling qs[:k] and rm[:2^k*2^k].
+// Returns ok=false if the span touches more than MaxDenseQubits
+// distinct qubits.
+func composeSpan(ops []circuit.Op, span transpile.Span, events []Event, qs *[sim.MaxDenseQubits]int, rm *[maxDenseDim * maxDenseDim]complex128) (int, bool) {
 	k := 0
 	for pi := span.Start; pi < span.End; pi++ {
-		op := e.Res.Ops[pi]
+		op := ops[pi]
 		for a := 0; a < op.Kind.Arity(); a++ {
 			q := op.Qubits[a]
 			seen := false
@@ -85,7 +73,7 @@ func (e *Engine) composeEventSpan(si int, events []Event, qs *[sim.MaxDenseQubit
 	}
 	ei := 0
 	for pi := span.Start; pi < span.End; pi++ {
-		op := e.Res.Ops[pi]
+		op := ops[pi]
 		if op.Kind == gate.CX {
 			localCX(d[:], dim, localBit(*qs, k, op.Qubits[0]), localBit(*qs, k, op.Qubits[1]))
 		} else if op.Kind != gate.I {

@@ -11,12 +11,12 @@ import (
 )
 
 // mirrorSampler re-derives the engine's conditional sampler from the
-// RNG draw-order contract in DESIGN.md ("Batched trajectory engine"),
+// RNG draw-order contract in DESIGN.md ("RNG draw-order contract"),
 // using only the exported model and circuit. If the engine ever
 // consumes randomness in a different order — an extra draw, a skipped
 // draw, a reordered Pauli label — the mirrored stream diverges and the
 // tests below fail. The order is load-bearing: fixed-seed sweep CSVs
-// (and the scalar/batched bit-identity guarantee) depend on it.
+// (and the dense/factored bit-identity guarantee) depend on it.
 type mirrorSampler struct {
 	kinds    []gate.Kind
 	probs    []float64

@@ -28,32 +28,41 @@ import (
 // ordinary State over the dense qubits per live key value. Every op is
 // either a call of the existing State kernels on each block, with
 // qubits and diagonal-term masks projected onto the block, or a
-// relabelling of block keys (X/Y on a key qubit, a CX or SWAP among
-// key qubits). Because a key map is a bijection, the block count is
+// relabelling of block keys (X/Y on a key qubit, a CX among key
+// qubits). Because a key map is a bijection, the block count is
 // invariant along a trajectory.
+//
+// The blocks hold wires, not physical qubits. Wire w starts on
+// physical qubit w, and a SWAP source op — a routing swap — exchanges
+// the wires on its two qubits instead of moving amplitudes (onWires),
+// so an addend qubit the router walks along a chain stays one key
+// wire. A SWAP span with events applies SWAP·U, a phased Pauli, to the
+// wires before the exchange.
 //
 // Every nonzero amplitude sees the same floating-point operations in
 // the same order as in the dense engine; the amplitudes the dense
 // engine holds outside the blocks are exactly zero there and only ever
 // meet other zeros or exact-zero matrix entries, so dropping them
 // changes no result bit. Probabilities and norms are summed in
-// ascending global basis index, the dense engine's order. When no
-// unmeasured dense qubit lies above an unmeasured key qubit — on fig3
-// and fig4 every dense qubit is measured — the blocks that reach one
-// probability bin differ only in key bits above the bin's free dense
-// bits, so registerProbsBlocks visits blocks in ascending key and adds
-// each block's |a|² in local order: the same additions in the same
-// order. Other layouts, and the input norm, take a k-way merge over the
-// blocks.
+// ascending physical basis index, the dense engine's order. When no
+// unmeasured dense qubit lies above an unmeasured key qubit — on fig3,
+// fig4 and the routed adders every dense qubit is measured — the
+// blocks that reach one probability bin differ only in key bits above
+// the bin's free dense bits, so registerProbsBlocks visits blocks in
+// ascending physical key and adds each block's |a|² in local order:
+// the same additions in the same order. Other layouts, and the input
+// norm, take a k-way merge over the blocks.
 
-// factPlan is an engine's factored-execution plan: its key qubits and
-// each fused diagonal segment's terms split into a key part and a dense
-// part compacted onto block-local bits.
+// factPlan is an engine's factored-execution plan: the circuit on
+// wires, its key wires, and each fused diagonal segment's terms split
+// into a key part and a dense part compacted onto block-local bits.
 type factPlan struct {
+	w     *transpile.Result // the engine's circuit on wires (onWires)
+	at    frame             // where the wires end up
 	mask  uint64
-	nd    int   // dense qubit count
-	local []int // local[q] is dense qubit q's block-local index, -1 for key qubits
-	// segTerms[si] mirrors Fused().Segments[si].Terms (empty for
+	nd    int   // dense wire count
+	local []int // local[w] is dense wire w's block-local index, -1 for key wires
+	// segTerms[si] mirrors w.Fused().Segments[si].Terms (empty for
 	// segments other than SegDiag).
 	segTerms [][]factTerm
 }
@@ -66,20 +75,88 @@ type factTerm struct {
 	term           circuit.DiagTerm
 }
 
-// BasisMask returns res's basis-preserving qubits: those that every
-// source and native op maps basis state to (phase ×) basis state, with
-// a new value depending only on basis-preserving qubits. It is the
-// fixpoint of evicting, from the set of all qubits,
+// onWires returns res with every qubit replaced by the wire it holds at
+// that op: wire w starts on physical qubit w, and each SWAP source op
+// exchanges the wires on its two qubits, so it and its natives name
+// the wires before the exchange. Spans, and so the fused segments, are
+// res's. The frame places the wires after the last op. Without a SWAP,
+// the result is res itself, with its memoized fused program.
+func onWires(res *transpile.Result) (*transpile.Result, frame) {
+	if !slices.ContainsFunc(res.Source, func(op circuit.Op) bool { return op.Kind == gate.SWAP }) {
+		return res, nil
+	}
+	n := res.NumQubits
+	wire := make([]int, n) // wire[q] is the wire on physical qubit q
+	for q := range wire {
+		wire[q] = q
+	}
+	w := &transpile.Result{NumQubits: n, Ops: slices.Clone(res.Ops), Source: slices.Clone(res.Source), Spans: res.Spans}
+	rename := func(op *circuit.Op) {
+		for a := 0; a < op.Kind.Arity(); a++ {
+			op.Qubits[a] = wire[op.Qubits[a]]
+		}
+	}
+	for si, sp := range res.Spans {
+		rename(&w.Source[si])
+		for pi := sp.Start; pi < sp.End; pi++ {
+			rename(&w.Ops[pi])
+		}
+		if op := res.Source[si]; op.Kind == gate.SWAP {
+			a, b := op.Qubits[0], op.Qubits[1]
+			wire[a], wire[b] = wire[b], wire[a]
+		}
+	}
+	at := make(frame, n)
+	for q, x := range wire {
+		at[x] = q
+	}
+	return w, at
+}
+
+// frame places wires on physical qubits: frame[w] is the physical qubit
+// that holds wire w. The nil frame keeps every wire on its own qubit.
+type frame []int
+
+// qubit returns wire w's physical qubit.
+func (f frame) qubit(w int) int {
+	if f == nil {
+		return w
+	}
+	return f[w]
+}
+
+// phys moves the wire bits of x to their physical positions.
+func (f frame) phys(x uint64) uint64 {
+	if f == nil {
+		return x
+	}
+	var out uint64
+	for ; x != 0; x &= x - 1 {
+		out |= 1 << uint(f[bits.TrailingZeros64(x)])
+	}
+	return out
+}
+
+// BasisMask returns res's basis-preserving wires (see onWires; without
+// SWAPs, wire w is qubit w): those that every source and native op maps
+// basis state to (phase ×) basis state, with a new value depending only
+// on basis-preserving wires. It is the fixpoint of evicting, from the
+// set of all wires,
 //
-//   - the qubit of a fused non-diagonal 1q segment, and the target of
+//   - the wire of a fused non-diagonal 1q segment, and the target of
 //     any op that puts it into superposition (H, SX, RY, CH, ...);
-//   - the target of a CX or CCX with a control outside the set;
-//   - both qubits of a SWAP with a partner outside the set.
+//   - the target of a CX or CCX with a control outside the set.
 //
-// Diagonal gates and X/Y evict nothing.
+// Diagonal gates and X/Y evict nothing, nor do SWAPs and their natives:
+// a SWAP is a relabelling of wires.
 func BasisMask(res *transpile.Result) uint64 {
-	mask := uint64(1)<<uint(res.NumQubits) - 1
-	for _, seg := range res.Fused().Segments {
+	w, _ := onWires(res)
+	return basisMask(w)
+}
+
+func basisMask(w *transpile.Result) uint64 {
+	mask := uint64(1)<<uint(w.NumQubits) - 1
+	for _, seg := range w.Fused().Segments {
 		if seg.Kind == transpile.Seg1Q {
 			mask &^= 1 << uint(seg.Qubit)
 		}
@@ -93,30 +170,32 @@ func BasisMask(res *transpile.Result) uint64 {
 				changed = true
 			}
 		}
-		for _, ops := range [2][]circuit.Op{res.Source, res.Ops} {
-			for _, op := range ops {
-				k, q := op.Kind, op.Qubits
-				nc := k.Controls()
-				switch {
-				case k.Diagonal(), k == gate.X, k == gate.Y:
-				case k == gate.CX, k == gate.CCX:
-					for _, c := range q[:nc] {
-						if !in(c) {
-							evict(q[nc])
-						}
-					}
-				case k == gate.SWAP:
-					if !in(q[0]) || !in(q[1]) {
-						evict(q[0])
-						evict(q[1])
-					}
-				case nc > 0 && k.Arity() == nc+1:
-					evict(q[nc])
-				default:
-					for _, x := range q[:k.Arity()] {
-						evict(x)
+		visit := func(op circuit.Op) {
+			k, q := op.Kind, op.Qubits
+			nc := k.Controls()
+			switch {
+			case k.Diagonal(), k == gate.X, k == gate.Y:
+			case k == gate.CX, k == gate.CCX:
+				for _, c := range q[:nc] {
+					if !in(c) {
+						evict(q[nc])
 					}
 				}
+			case nc > 0 && k.Arity() == nc+1:
+				evict(q[nc])
+			default:
+				for _, x := range q[:k.Arity()] {
+					evict(x)
+				}
+			}
+		}
+		for si, sp := range w.Spans {
+			if w.Source[si].Kind == gate.SWAP {
+				continue
+			}
+			visit(w.Source[si])
+			for _, op := range w.Ops[sp.Start:sp.End] {
+				visit(op)
 			}
 		}
 	}
@@ -124,18 +203,18 @@ func BasisMask(res *transpile.Result) uint64 {
 }
 
 // newFactPlan builds the engine's plan, or returns nil when the circuit
-// has no key qubit or no dense one, or — a safety net behind the
+// has no key wire or no dense one, or — a safety net behind the
 // analysis — when an event span's key image would depend on dense
-// qubits.
+// wires.
 func (e *Engine) newFactPlan() *factPlan {
-	res := e.Res
-	n := res.NumQubits
-	mask := BasisMask(res)
+	n := e.Res.NumQubits
+	w, at := onWires(e.Res)
+	mask := basisMask(w)
 	nk := bits.OnesCount64(mask)
 	if nk == 0 || nk == n {
 		return nil
 	}
-	p := &factPlan{mask: mask, nd: n - nk, local: make([]int, n)}
+	p := &factPlan{w: w, at: at, mask: mask, nd: n - nk, local: make([]int, n)}
 	j := 0
 	for q := 0; q < n; q++ {
 		if p.isKey(q) {
@@ -145,7 +224,7 @@ func (e *Engine) newFactPlan() *factPlan {
 			j++
 		}
 	}
-	fp := res.Fused()
+	fp := w.Fused()
 	total := 0
 	for _, seg := range fp.Segments {
 		total += len(seg.Terms)
@@ -165,8 +244,8 @@ func (e *Engine) newFactPlan() *factPlan {
 		}
 		p.segTerms[si] = all[lo:len(all):len(all)]
 	}
-	for si := range res.Spans {
-		if !e.keyImageOK(p, si) {
+	for si := range w.Spans {
+		if !keyImageOK(p, si) {
 			return nil
 		}
 	}
@@ -228,7 +307,7 @@ func (e *Engine) MixtureFactoredInto(out []float64, fs *sim.Blocks, opts Mixture
 	defer mixPool.Put(sc)
 	if e.w0 >= 1 {
 		e.applyFusedRangeBlocks(fs, 0, len(e.Res.Source), sc)
-		registerProbsBlocks(fs, out, opts.Measure, sc)
+		registerProbsBlocks(fs, e.fact.at, out, opts.Measure, sc)
 		if opts.IdealOut != nil {
 			copy(opts.IdealOut, out)
 		}
@@ -259,7 +338,7 @@ func (w *blockWalk) probs(out []float64, prefix bool) {
 	if prefix {
 		fs = w.prefix
 	}
-	registerProbsBlocks(fs, out, w.measure, w.sc)
+	registerProbsBlocks(fs, w.e.fact.at, out, w.measure, w.sc)
 }
 
 // NormalizeBlocks rescales fs to unit norm, bit-identically to
@@ -270,7 +349,7 @@ func NormalizeBlocks(fs *sim.Blocks) {
 	sc := mixPool.Get().(*mixScratch)
 	defer mixPool.Put(sc)
 	var s float64
-	walkAscending(fs, sc, func(_ uint64, a complex128) {
+	walkAscending(fs, nil, sc, func(_ uint64, a complex128) {
 		s += real(a)*real(a) + imag(a)*imag(a)
 	})
 	nrm := math.Sqrt(s)
@@ -286,59 +365,99 @@ func NormalizeBlocks(fs *sim.Blocks) {
 	}
 }
 
-// walkAscending calls visit for every block amplitude in ascending
-// global basis index: a k-way merge over the blocks, each of which
-// enumerates its indices in ascending order because dense qubits keep
-// their relative order.
-func walkAscending(fs *sim.Blocks, sc *mixScratch, visit func(g uint64, a complex128)) {
+// walkAscending calls visit for every block amplitude, at wires placed
+// by at, in ascending physical basis index g: a k-way merge over the
+// blocks, each of which enumerates its physical indices in ascending
+// order — local order while the dense wires keep their relative order,
+// else through densePerm.
+func walkAscending(fs *sim.Blocks, at frame, sc *mixScratch, visit func(g uint64, a complex128)) {
 	nb := fs.Len()
 	dim := 1 << uint(len(fs.Dense()))
-	mask := fs.KeyMask()
+	mask := at.phys(fs.KeyMask())
+	perm := densePerm(fs.Dense(), at, sc)
 	sc.cur = grownInts(sc.cur, nb)
-	sc.glob = grownUints(sc.glob, nb)
+	sc.glob = grownUints(sc.glob, 2*nb)
+	glob, keys := sc.glob[:nb], sc.glob[nb:]
 	for b := 0; b < nb; b++ {
 		sc.cur[b] = 0
-		sc.glob[b] = fs.Key(b)
+		keys[b] = at.phys(fs.Key(b))
+		glob[b] = keys[b]
 	}
 	for {
 		best := -1
 		var bg uint64
 		for b := 0; b < nb; b++ {
-			if sc.cur[b] < dim && (best < 0 || sc.glob[b] < bg) {
-				best, bg = b, sc.glob[b]
+			if sc.cur[b] < dim && (best < 0 || glob[b] < bg) {
+				best, bg = b, glob[b]
 			}
 		}
 		if best < 0 {
 			return
 		}
-		visit(bg, fs.State(best).Amps()[sc.cur[best]])
+		i := sc.cur[best]
+		if perm != nil {
+			i = perm[i]
+		}
+		visit(bg, fs.State(best).Amps()[i])
 		sc.cur[best]++
 		// Next index with the same key bits: count with the key bits
 		// forced on so the carry skips them.
-		sc.glob[best] = ((bg|mask)+1)&^mask | fs.Key(best)
+		glob[best] = ((bg|mask)+1)&^mask | keys[best]
 	}
 }
 
-// registerProbsBlocks is State.RegisterProbsInto on a factored state:
-// each bin receives its contributions in ascending global index, as in
-// the dense walk. When keyOrderOK holds, visiting the blocks in
-// ascending key achieves that order without merging them.
-func registerProbsBlocks(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
+// densePerm returns, for the dense wires placed by at, the local index
+// of the c-th amplitude of a block in ascending physical order, or nil
+// when that is c.
+func densePerm(dense []int, at frame, sc *mixScratch) []int {
+	if at == nil {
+		return nil
+	}
+	var bitOf [sim.MaxQubits]int // local bit of the r-th lowest dense qubit
+	sorted := true
+	for j, x := range dense {
+		r := 0
+		for _, y := range dense {
+			if at.qubit(y) < at.qubit(x) {
+				r++
+			}
+		}
+		bitOf[r] = j
+		sorted = sorted && r == j
+	}
+	if sorted {
+		return nil
+	}
+	perm := grownInts(sc.perm, 1<<uint(len(dense)))
+	sc.perm = perm
+	perm[0] = 0
+	for c := 1; c < len(perm); c++ {
+		perm[c] = perm[c&(c-1)] | 1<<uint(bitOf[bits.TrailingZeros(uint(c))])
+	}
+	return perm
+}
+
+// registerProbsBlocks is State.RegisterProbsInto on a factored state
+// whose wires at places on the physical qubits: each bin receives its
+// contributions in ascending physical index, as in the dense walk. When
+// keyOrderOK holds, visiting the blocks in ascending physical key
+// achieves that order without merging them.
+func registerProbsBlocks(fs *sim.Blocks, at frame, out []float64, qubits []int, sc *mixScratch) {
 	if len(out) != 1<<uint(len(qubits)) {
 		panic("noise: register output buffer size mismatch")
 	}
 	clear(out)
-	if keyOrderOK(fs, qubits) {
-		registerProbsKeyOrder(fs, out, qubits, sc)
+	if keyOrderOK(fs, at, qubits) {
+		registerProbsKeyOrder(fs, at, out, qubits, sc)
 	} else {
-		registerProbsMerge(fs, out, qubits, sc)
+		registerProbsMerge(fs, at, out, qubits, sc)
 	}
 }
 
 // registerProbsMerge adds every amplitude's |a|² to its bin in
-// ascending global index, by the k-way merge.
-func registerProbsMerge(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
-	walkAscending(fs, sc, func(g uint64, a complex128) {
+// ascending physical index, by the k-way merge.
+func registerProbsMerge(fs *sim.Blocks, at frame, out []float64, qubits []int, sc *mixScratch) {
+	walkAscending(fs, at, sc, func(g uint64, a complex128) {
 		v := 0
 		for i, q := range qubits {
 			v |= int(g>>uint(q)&1) << uint(i)
@@ -348,28 +467,40 @@ func registerProbsMerge(fs *sim.Blocks, out []float64, qubits []int, sc *mixScra
 }
 
 // keyOrderOK reports whether no unmeasured dense qubit lies above an
-// unmeasured key qubit. Within one bin the measured bits are fixed, so
-// ascending global index then means ascending unmeasured key bits —
-// ascending key among the blocks that reach the bin — and, within a
+// unmeasured key qubit, and the unmeasured dense wires lie in local
+// order. Within one bin the measured bits are fixed, so ascending
+// physical index then means ascending unmeasured key bits — ascending
+// physical key among the blocks that reach the bin — and, within a
 // block, ascending local index.
-func keyOrderOK(fs *sim.Blocks, qubits []int) bool {
+func keyOrderOK(fs *sim.Blocks, at frame, qubits []int) bool {
 	var measured uint64
 	for _, q := range qubits {
 		measured |= 1 << uint(q)
 	}
-	freeKey := fs.KeyMask() &^ measured
+	last := -1
+	for _, x := range fs.Dense() {
+		if q := at.qubit(x); measured>>uint(q)&1 == 0 {
+			if q < last {
+				return false
+			}
+			last = q
+		}
+	}
+	keys := at.phys(fs.KeyMask())
+	freeKey := keys &^ measured
 	if freeKey == 0 {
 		return true
 	}
-	freeDense := (uint64(1)<<uint(fs.NumQubits()) - 1) &^ fs.KeyMask() &^ measured
+	freeDense := (uint64(1)<<uint(fs.NumQubits()) - 1) &^ keys &^ measured
 	return freeDense>>uint(bits.TrailingZeros64(freeKey)) == 0
 }
 
 // registerProbsKeyOrder is registerProbsBlocks's walk for layouts that
-// pass keyOrderOK: blocks in ascending key, each block's |a|² added in
-// local order through a bin table of its dense qubits' measured bits.
-func registerProbsKeyOrder(fs *sim.Blocks, out []float64, qubits []int, sc *mixScratch) {
-	var binBit [sim.MaxQubits]int // bin bit of each measured global qubit
+// pass keyOrderOK: blocks in ascending physical key, each block's |a|²
+// added in local order through a bin table of its dense wires'
+// measured bits.
+func registerProbsKeyOrder(fs *sim.Blocks, at frame, out []float64, qubits []int, sc *mixScratch) {
+	var binBit [sim.MaxQubits]int // bin bit of each measured physical qubit
 	for i, q := range qubits {
 		binBit[q] = 1 << uint(i)
 	}
@@ -378,17 +509,21 @@ func registerProbsKeyOrder(fs *sim.Blocks, out []float64, qubits []int, sc *mixS
 	sc.bins = tbl
 	tbl[0] = 0
 	for i := 1; i < len(tbl); i++ {
-		tbl[i] = tbl[i&(i-1)] | binBit[dense[bits.TrailingZeros(uint(i))]]
+		tbl[i] = tbl[i&(i-1)] | binBit[at.qubit(dense[bits.TrailingZeros(uint(i))])]
 	}
-	order := grownInts(sc.cur, fs.Len())
+	nb := fs.Len()
+	order := grownInts(sc.cur, nb)
 	sc.cur = order
+	keys := grownUints(sc.glob, nb)
+	sc.glob = keys
 	for b := range order {
 		order[b] = b
+		keys[b] = at.phys(fs.Key(b))
 	}
-	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(fs.Key(x), fs.Key(y)) })
-	keyBits := fs.KeyMask()
+	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(keys[x], keys[y]) })
+	keyBits := at.phys(fs.KeyMask())
 	for _, b := range order {
-		key, kb := fs.Key(b), 0
+		key, kb := keys[b], 0
 		for i, q := range qubits {
 			if keyBits>>uint(q)&1 == 1 {
 				kb |= int(key>>uint(q)&1) << uint(i)
@@ -403,7 +538,7 @@ func registerProbsKeyOrder(fs *sim.Blocks, out []float64, qubits []int, sc *mixS
 // applyFusedRangeBlocks mirrors applyFusedRange on a factored state.
 func (e *Engine) applyFusedRangeBlocks(fs *sim.Blocks, lo, hi int, sc *mixScratch) {
 	p := e.fact
-	fp := e.Res.Fused()
+	fp := p.w.Fused()
 	for i := lo; i < hi; {
 		si := fp.SegOfSrc[i]
 		seg := &fp.Segments[si]
@@ -419,11 +554,11 @@ func (e *Engine) applyFusedRangeBlocks(fs *sim.Blocks, lo, hi int, sc *mixScratc
 				}
 			} else {
 				for j := i; j < end; j++ {
-					e.applyOpBlocks(fs, e.Res.Source[j], sc)
+					e.applyOpBlocks(fs, p.w.Source[j], sc)
 				}
 			}
 		default:
-			e.applyOpBlocks(fs, e.Res.Source[i], sc)
+			e.applyOpBlocks(fs, p.w.Source[i], sc)
 		}
 		i = end
 	}
@@ -456,12 +591,16 @@ func applyDiagBlocks(fs *sim.Blocks, terms []factTerm, lo, hi int, sc *mixScratc
 	}
 }
 
-// applyOpBlocks applies one op (source or native) to a factored state,
-// mirroring State.ApplyOp's kernel choice so every amplitude sees the
-// same arithmetic.
+// applyOpBlocks applies one op (source or native, on wires) to a
+// factored state, mirroring State.ApplyOp's kernel choice so every
+// amplitude sees the same arithmetic. A SWAP does nothing: the wires
+// of later ops already carry its exchange.
 func (e *Engine) applyOpBlocks(fs *sim.Blocks, op circuit.Op, sc *mixScratch) {
 	p := e.fact
 	k, q := op.Kind, op.Qubits
+	if k == gate.SWAP {
+		return
+	}
 	ar := k.Arity()
 	var keyBits uint64
 	lop := op
@@ -500,13 +639,6 @@ func (e *Engine) applyOpBlocks(fs *sim.Blocks, op circuit.Op, sc *mixScratch) {
 			}
 			fs.State(b).ApplyDiagTerms(act)
 			sc.active = act
-		}
-	case k == gate.SWAP && keyBits == 1<<uint(q[0])|1<<uint(q[1]):
-		for b := 0; b < fs.Len(); b++ {
-			key := fs.Key(b)
-			if key>>uint(q[0])&1 != key>>uint(q[1])&1 {
-				fs.SetKey(b, key^keyBits)
-			}
 		}
 	case nc > 0 && ar == nc+1:
 		t := q[nc]
@@ -597,7 +729,7 @@ func pauliBlocks(p *factPlan, fs *sim.Blocks, q int, pl uint8) {
 
 // applyEventBlocks mirrors applyEvent on a factored state.
 func (e *Engine) applyEventBlocks(fs *sim.Blocks, ev Event) {
-	op := e.Res.Ops[ev.PhysIdx]
+	op := e.fact.w.Ops[ev.PhysIdx]
 	if op.Kind == gate.CX {
 		pauliBlocks(e.fact, fs, op.Qubits[0], ev.Pauli>>2)
 		pauliBlocks(e.fact, fs, op.Qubits[1], ev.Pauli&3)
@@ -672,15 +804,16 @@ func (sp *spanSplit) restrict(rm []complex128, kp int, r *[maxDenseDim * maxDens
 }
 
 // keyImageOK composes span si without events and reports whether, for
-// every value of its key qubits, the key image is independent of its
-// dense qubits — the property applyEventSpanBlocks relies on. Paulis
+// every value of its key wires, the key image is independent of its
+// dense wires — the property applyEventSpanBlocks relies on. Paulis
 // keep it, so checking the event-free span covers every trajectory. A
 // span of RZ, X and CX natives alone is a monomial whose key image the
-// analysis already fixed native by native; only spans that touch a key
-// qubit and mix in an SX are composed and checked.
-func (e *Engine) keyImageOK(p *factPlan, si int) bool {
+// analysis already fixed native by native (a SWAP span's SWAP·U is a
+// phased Pauli); only spans that touch a key wire and mix in an SX are
+// composed and checked.
+func keyImageOK(p *factPlan, si int) bool {
 	touches, sx := false, false
-	for _, op := range e.Res.Ops[e.Res.Spans[si].Start:e.Res.Spans[si].End] {
+	for _, op := range p.w.Ops[p.w.Spans[si].Start:p.w.Spans[si].End] {
 		sx = sx || op.Kind == gate.SX
 		for _, q := range op.Qubits[:op.Kind.Arity()] {
 			touches = touches || p.isKey(q)
@@ -691,7 +824,7 @@ func (e *Engine) keyImageOK(p *factPlan, si int) bool {
 	}
 	var qs [sim.MaxDenseQubits]int
 	var rm [maxDenseDim * maxDenseDim]complex128
-	k, ok := e.composeEventSpan(si, nil, &qs, &rm)
+	k, ok := composeSpan(p.w.Ops, p.w.Spans[si], nil, &qs, &rm)
 	if !ok {
 		return true // expanded natively, op by op
 	}
@@ -716,16 +849,26 @@ func (e *Engine) keyImageOK(p *factPlan, si int) bool {
 // f(kp), which becomes the block's new key, and their dense part is
 // applied to the block through ApplyKQ — the same entries, multiplied
 // and summed in the same column order as the dense ApplyKQ, minus
-// products of exact zeros. Returns false when the span needs native
-// expansion.
+// products of exact zeros. A SWAP span's wires already carry the
+// exchange after it, so there U becomes SWAP·U: the same entries, rows
+// exchanged. Returns false when the span needs native expansion.
 func (e *Engine) applyEventSpanBlocks(fs *sim.Blocks, si int, events []Event) bool {
+	p := e.fact
 	var qs [sim.MaxDenseQubits]int
 	var rm [maxDenseDim * maxDenseDim]complex128
-	k, ok := e.composeEventSpan(si, events, &qs, &rm)
+	k, ok := composeSpan(p.w.Ops, p.w.Spans[si], events, &qs, &rm)
 	if !ok {
 		return false
 	}
-	sp := e.fact.splitSpan(qs, k)
+	if p.w.Source[si].Kind == gate.SWAP {
+		// transpile lowers a SWAP to 3 CX on its two wires, qs[0] and
+		// qs[1]: exchange rows 01 and 10.
+		r1, r2 := rm[4:8], rm[8:12]
+		for j := range r1 {
+			r1[j], r2[j] = r2[j], r1[j]
+		}
+	}
+	sp := p.splitSpan(qs, k)
 	if sp.keyPos == 0 {
 		for b := 0; b < fs.Len(); b++ {
 			fs.State(b).ApplyKQ(sp.dq[:sp.nd], rm[:(1<<uint(k))*(1<<uint(k))])
@@ -768,7 +911,7 @@ func (e *Engine) applyEventSpanBlocks(fs *sim.Blocks, si int, events []Event) bo
 
 // runSpanRangeBlocks mirrors runSpanRange on a factored state.
 func (e *Engine) runSpanRangeBlocks(fs *sim.Blocks, events []Event, lo, hi int, sc *mixScratch) int {
-	res := e.Res
+	res := e.fact.w
 	ei := 0
 	for si := lo; si < hi; {
 		next := hi

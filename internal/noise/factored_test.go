@@ -38,7 +38,8 @@ func regMask(reg ...[]int) uint64 {
 // TestBasisMask pins the basis-preserving analysis on the paper's
 // circuits: the addend of an adder or subtractor and both factors of a
 // multiplier stay in the computational basis, a bare QFT keeps nothing,
-// and routing only shrinks the set — on linear:15, to nothing.
+// and routing keeps the addend wires, however far the router swaps
+// them.
 func TestBasisMask(t *testing.T) {
 	full := arith.Config{Depth: qft.Full, AddCut: arith.FullAdd}
 	x7 := arith.Range(0, 7)
@@ -64,26 +65,26 @@ func TestBasisMask(t *testing.T) {
 		}
 	}
 
-	// Every SWAP the router inserts between an addend and a target qubit
-	// evicts both; on linear:15 that reaches the whole addend register.
-	res, _, _ := routedQFA(7, 8, 3, nil)
-	if got := noise.BasisMask(res); got != 0 {
-		t.Errorf("routed fig3 adder on linear:15: mask %#x, want 0", got)
+	// Wire w starts on physical qubit w, so the addend wires are the
+	// addend's initial homes.
+	for _, cm := range []*layout.CouplingMap{layout.Linear(15), layout.Grid(3, 5)} {
+		res, _, _ := routedQFA(7, 8, 3, cm, nil)
+		if got := noise.BasisMask(res); got != regMask(x7) {
+			t.Errorf("routed fig3 adder on %d-qubit map: mask %#x, want %#x", cm.NumQubits, got, regMask(x7))
+		}
 	}
-	// With this layout x_2 never swaps with a target qubit, so it is the
-	// one key qubit left (at its physical home 5).
-	res, _, _ = routedQFA(3, 3, qft.Full, []int{2, 3, 5, 1, 0, 4})
-	if got := noise.BasisMask(res); got != 1<<5 {
-		t.Errorf("routed QFA(3,3) on linear:6: mask %#x, want %#x", got, 1<<5)
+	res, _, _ := routedQFA(3, 3, qft.Full, layout.Linear(6), []int{2, 3, 5, 1, 0, 4})
+	if want := regMask([]int{2, 3, 5}); noise.BasisMask(res) != want {
+		t.Errorf("routed QFA(3,3) on linear:6: mask %#x, want %#x", noise.BasisMask(res), want)
 	}
 }
 
-// routedQFA lowers QFA(a, w) at AQFT depth d and routes it onto
-// linear:(a+w) from the initial layout (nil = identity). It returns the
-// routed circuit, the physical output register, and the layout.
-func routedQFA(a, w, d int, initial []int) (*transpile.Result, []int, []int) {
+// routedQFA lowers QFA(a, w) at AQFT depth d and routes it onto cm
+// from the initial layout (nil = identity). It returns the routed
+// circuit, the physical output register, and the layout.
+func routedQFA(a, w, d int, cm *layout.CouplingMap, initial []int) (*transpile.Result, []int, []int) {
 	native := transpile.Transpile(arith.NewQFA(a, w, arith.Config{Depth: d, AddCut: arith.FullAdd})).Circuit()
-	routed := layout.Route(native, layout.Linear(a+w), initial)
+	routed := layout.Route(native, cm, initial)
 	measure := make([]int, w)
 	for i := range measure {
 		measure[i] = routed.FinalLayout[a+i]
@@ -105,7 +106,7 @@ func embed(terms []amp, initial []int) []amp {
 }
 
 // runFactoredAndDense runs one mixture through the factored engine and
-// through the scalar dense MixtureInto oracle from the same seed and
+// through the dense MixtureInto oracle from the same seed and
 // returns the first bit difference in the output or ideal distribution.
 func runFactoredAndDense(e *noise.Engine, terms []amp, measure []int, k int, seed uint64) error {
 	n := e.Res.NumQubits
@@ -155,10 +156,10 @@ func productTerms(xs []int, xOff int, ys []int, yOff int) []amp {
 }
 
 // TestFactoredMixtureBitIdentical is the factored engine's oracle test:
-// on the paper's adders, subtractor, multipliers and a routed adder,
+// on the paper's adders, subtractor, multipliers and routed adders,
 // from noiseless through hot noise and down to one trajectory, its
 // output and ideal distributions must be Float64bits-identical to the
-// scalar dense engine's.
+// dense engine's.
 func TestFactoredMixtureBitIdentical(t *testing.T) {
 	full := arith.Config{Depth: qft.Full, AddCut: arith.FullAdd}
 	models := []struct {
@@ -181,7 +182,9 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 	qfs := transpile.Transpile(arith.NewQFS(7, 8, full))
 	qfm := transpile.Transpile(arith.NewQFM(4, 4, full))
 	sqfm := transpile.Transpile(arith.NewSignedQFM(4, 4, full))
-	routed, routedOut, routedLayout := routedQFA(3, 3, qft.Full, []int{2, 3, 5, 1, 0, 4})
+	routed, routedOut, routedLayout := routedQFA(3, 3, qft.Full, layout.Linear(6), []int{2, 3, 5, 1, 0, 4})
+	fig3Linear, linearOut, linearLayout := routedQFA(7, 8, 3, layout.Linear(15), nil)
+	fig3Grid, gridOut, gridLayout := routedQFA(7, 8, 3, layout.Grid(3, 5), nil)
 	cases := []tc{
 		{"qfa-1:1", qfa, productTerms([]int{93}, 0, []int{41}, 7), arith.Range(7, 8)},
 		{"qfa-1:2", qfa, productTerms([]int{5}, 0, []int{200, 17}, 7), arith.Range(7, 8)},
@@ -190,8 +193,13 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 		// QFM(4,4): z on 0..7 starts at zero; y on 8..11, x on 12..15.
 		{"qfm-2:2", qfm, productTerms([]int{3, 13}, 12, []int{6, 11}, 8), arith.Range(0, 8)},
 		{"signed-qfm-2:2", sqfm, productTerms([]int{9, 7}, 12, []int{14, 2}, 8), arith.Range(0, 8)},
-		// Routed adder whose layout keeps x_2 a key qubit.
+		// Routed adders: the addend wires stay keys through every swap.
 		{"routed-qfa-2:2", routed, embed(productTerms([]int{1, 6}, 0, []int{3, 4}, 3), routedLayout), routedOut},
+		{"routed-fig3-linear15-2:2", fig3Linear, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), linearLayout), linearOut},
+		{"routed-fig3-grid3x5-2:2", fig3Grid, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), gridLayout), gridOut},
+	}
+	if testing.Short() {
+		cases = cases[:len(cases)-1] // one routed fig3 adder is enough under -race
 	}
 	for _, c := range cases {
 		for _, md := range models {
@@ -209,22 +217,91 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDenseMixtureSwapSpansBitIdentical pins the dense oracle across
+// the router's change of form: a routed adder whose swaps are SWAP
+// source ops (one span of 3 CX each) gives Float64bits-identical
+// output and ideal distributions to the same natives with each CX its
+// own source op. The natives, and so the drawn events, are the same;
+// an event span composes to a monomial with entries ±1, ±i in either
+// form, which ApplyKQ applies exactly.
+func TestDenseMixtureSwapSpansBitIdentical(t *testing.T) {
+	maps := []*layout.CouplingMap{layout.Linear(15), layout.Grid(3, 5)}
+	if testing.Short() {
+		maps = maps[:1] // 2^15 dense trajectories are slow under -race
+	}
+	for _, cm := range maps {
+		swaps, measure, initial := routedQFA(7, 8, 3, cm, nil)
+		cxs := transpile.Transpile(swaps.Circuit()) // every native its own source op
+		if len(cxs.Source) == len(swaps.Source) {
+			t.Fatal("routed adder has no SWAP source op")
+		}
+		terms := embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), initial)
+		for _, md := range []struct {
+			model noise.Model
+			k     int
+		}{
+			{noise.Noiseless, 4},
+			{noise.PaperModel(0.002, 0.005), 1},
+			{noise.PaperModel(0.002, 0.005), 6},
+			{noise.PaperModel(0.01, 0.08), 6},
+		} {
+			run := func(res *transpile.Result) (dist, ideal []float64) {
+				st := sim.NewState(res.NumQubits)
+				clear(st.Amps())
+				for _, a := range terms {
+					st.Amps()[a.idx] = a.v
+				}
+				st.Normalize()
+				dist, ideal = make([]float64, 1<<8), make([]float64, 1<<8)
+				e := noise.NewEngine(res, md.model)
+				e.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: md.k, Measure: measure, IdealOut: ideal}, testutil.NewRand(99))
+				return dist, ideal
+			}
+			got, gotIdeal := run(swaps)
+			want, wantIdeal := run(cxs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(gotIdeal[i]) != math.Float64bits(wantIdeal[i]) {
+					t.Fatalf("%d-qubit map, model %+v, k=%d: P(%d) = %x ideal %x with SWAP spans, %x ideal %x with CX source ops",
+						cm.NumQubits, md.model, md.k, i, math.Float64bits(got[i]), math.Float64bits(gotIdeal[i]),
+						math.Float64bits(want[i]), math.Float64bits(wantIdeal[i]))
+				}
+			}
+		}
+	}
+}
+
 // randomFactorableCircuit builds a random circuit over {H, RZ, CP, CCP,
-// CX, SWAP}, plus the Paulis, CH and CCX, on n qubits. Qubits ≥ nd are
-// key candidates, and a gate is redrawn (up to a few times) while its
-// native form would pull one into superposition — a CX from a dense
-// candidate onto a key candidate, or an SX on one — so key qubits
-// usually survive. In one circuit in four, one gate in five skips the
-// redraw and exercises eviction.
+// CX, SWAP}, plus the Paulis, CH and CCX, on n qubits. Wires ≥ nd are
+// key candidates; a SWAP moves the wires of its qubits, so SWAPs mix
+// key and dense candidates freely. A gate is redrawn (up to a few
+// times) while its native form would pull a key candidate into
+// superposition — a CX from a dense candidate onto a key candidate, an
+// SX on one, or a 1q gate that fuses with the previous one on a key
+// candidate into a non-diagonal 1q segment — so key wires usually
+// survive. In one circuit in four, one gate in five skips the redraw
+// and exercises eviction.
 func randomFactorableCircuit(seed uint64, n, nd, ops int) *circuit.Circuit {
 	rng := testutil.NewRand(seed)
 	c := circuit.New(n)
+	wire := make([]int, n) // wire[q] is the wire on qubit q
+	for q := range wire {
+		wire[q] = q
+	}
 	keeps := func(op circuit.Op) bool {
+		if op.Kind == gate.SWAP {
+			return true
+		}
+		if q := op.Qubits[0]; op.Kind.Arity() == 1 && wire[q] >= nd && len(c.Ops) > 0 {
+			prev := c.Ops[len(c.Ops)-1]
+			if prev.Kind.Arity() == 1 && prev.Qubits[0] == q && !(prev.Kind.Diagonal() && op.Kind.Diagonal()) {
+				return false
+			}
+		}
 		one := circuit.New(n)
 		one.Ops = append(one.Ops, op)
 		for _, nat := range transpile.Transpile(one).Ops {
 			q := nat.Qubits
-			if (nat.Kind == gate.SX && q[0] >= nd) || (nat.Kind == gate.CX && q[0] < nd && q[1] >= nd) {
+			if (nat.Kind == gate.SX && wire[q[0]] >= nd) || (nat.Kind == gate.CX && wire[q[0]] < nd && wire[q[1]] >= nd) {
 				return false
 			}
 		}
@@ -245,6 +322,10 @@ func randomFactorableCircuit(seed uint64, n, nd, ops int) *circuit.Circuit {
 			}
 			if mixed || keeps(op) {
 				c.Ops = append(c.Ops, op)
+				if k == gate.SWAP {
+					a, b := op.Qubits[0], op.Qubits[1]
+					wire[a], wire[b] = wire[b], wire[a]
+				}
 				break
 			}
 		}

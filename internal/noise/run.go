@@ -109,9 +109,7 @@ func (e *Engine) runTrajectoryFrom(st *sim.State, events []Event, startSpan int)
 // executed as any sequence of runSpanRange calls over adjacent ranges
 // and stay bit-identical to one full pass: applyFusedRange decomposes at
 // segment boundaries internally, and diagonal segments split bit-exactly
-// at any op boundary (Segment.TermsFor). The batched mixture path relies
-// on this to interleave per-segment batched execution with scalar
-// event-span fallbacks.
+// at any op boundary (Segment.TermsFor).
 func (e *Engine) runSpanRange(st *sim.State, events []Event, lo, hi int) int {
 	res := e.Res
 	ei := 0
@@ -179,23 +177,20 @@ type mixScratch struct {
 	count  []int     // counting-sort workspace
 	marg   []float64 // K per-trajectory marginals, k*len(out) flat
 	ideal  []float64 // error-free marginal
-	// Batched-path lane bookkeeping (MixtureBatchInto only).
-	laneStart []int     // per-lane first-error span (branch point)
-	evCur     []int     // per-lane cursor into events (next unconsumed)
-	evEnd     []int     // per-lane end of its event list
-	lprob     []float64 // per-lane marginals of one batch, lane-major
 	// Checkpoint walkers, kept here so passing them as an interface
 	// allocates nothing.
 	dense  denseWalk
 	blocks blockWalk
 	// Factored-path scratch: projected diagonal terms, one op's terms,
 	// the per-block cursors of the ascending merge (or the key order of
-	// the blocks), and the bin table of the key-order walk.
+	// the blocks), the blocks' physical keys, the bin table of the
+	// key-order walk, and the merge's physical-to-local index table.
 	active  []circuit.DiagTerm
 	opTerms []circuit.DiagTerm
 	cur     []int
 	glob    []uint64
 	bins    []int
+	perm    []int
 }
 
 var mixPool = sync.Pool{New: func() any { return new(mixScratch) }}
@@ -352,7 +347,7 @@ func (e *Engine) accumulate(out []float64, sc *mixScratch, k int) {
 // sampleAndGroup samples the K conditional event lists into sc in
 // trajectory order and computes the stable grouping of trajectories by
 // first-error span. This is the single sampling stage shared by the
-// scalar and batched mixture paths: all randomness is consumed here, in
+// dense and factored mixture paths: all randomness is consumed here, in
 // the exact per-trajectory draw order documented in DESIGN.md, so both
 // paths see bit-identical event lists for a fixed seed.
 func (e *Engine) sampleAndGroup(sc *mixScratch, k int, rng *rand.Rand) {

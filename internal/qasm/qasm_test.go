@@ -220,8 +220,8 @@ func TestExportWithMeasurement(t *testing.T) {
 }
 
 // TestRoundTripRoutedCircuit exports a routed (coupling-constrained)
-// circuit and parses it back: routing SWAPs are emitted as 3 CX, so the
-// op stream must survive exactly and the unitary must match.
+// circuit and parses it back: routing SWAPs are emitted as swap ops, so
+// the op stream must survive exactly and the unitary must match.
 func TestRoundTripRoutedCircuit(t *testing.T) {
 	c := arith.NewQFA(2, 3, arith.Config{Depth: 2, AddCut: arith.FullAdd})
 	native := transpile.Transpile(c).Circuit()
@@ -250,8 +250,8 @@ func TestRoundTripRoutedCircuit(t *testing.T) {
 	}
 }
 
-// TestRoundTripExplicitSwap: the swap gate kind itself (as opposed to
-// the 3-CX expansion the router emits) must also survive a round trip.
+// TestRoundTripExplicitSwap: a hand-written swap gate must also survive
+// a round trip.
 func TestRoundTripExplicitSwap(t *testing.T) {
 	c := circuit.New(3)
 	c.Append(gate.H, 0, 0)

@@ -25,9 +25,6 @@ type Config struct {
 	// Workers bounds the shared simulation worker pool, like the CLI's
 	// -workers; 0 = GOMAXPROCS.
 	Workers int
-	// BatchLanes configures backends with batched execution lanes, like
-	// the CLI's -batch; 0 = the backend's default.
-	BatchLanes int
 	// Jobs is the number of jobs executing concurrently (default 1:
 	// panels already parallelize across the worker pool, so concurrent
 	// jobs trade per-job latency for queue throughput).
@@ -86,13 +83,6 @@ func New(cfg Config) (*Server, error) {
 	b, err := backend.New(cfg.Backend)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.BatchLanes > 0 {
-		bs, ok := b.(backend.BatchSizer)
-		if !ok {
-			return nil, fmt.Errorf("server: batch lanes require a batching backend (have %q)", cfg.Backend)
-		}
-		bs.SetBatchLanes(cfg.BatchLanes)
 	}
 	runner := backend.NewRunner(b, cfg.Workers)
 	s := &Server{

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand/v2"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -124,14 +123,12 @@ func oneBin(cdf []float64, u float64) int {
 }
 
 // SampleScratch holds the reusable buffers of the constant-time
-// sampling stage: the in-place CDF, its guide table, and the uniform
-// buffer of the merge variant. Obtain one from GetSampleScratch and
-// return it with PutSampleScratch; a warm scratch makes CountsInto and
-// CountsMergeInto allocation-free.
+// sampling stage: the in-place CDF and its guide table. Obtain one from
+// GetSampleScratch and return it with PutSampleScratch; a warm scratch
+// makes CountsInto allocation-free.
 type SampleScratch struct {
-	cdf      []float64
-	guide    []int32
-	uniforms []float64
+	cdf   []float64
+	guide []int32
 }
 
 var sampleScratchPool = sync.Pool{New: func() any { return new(SampleScratch) }}
@@ -216,44 +213,6 @@ func (s *Sampler) CountsInto(sc *SampleScratch, probs []float64, shots int, out 
 	}
 	for i := 0; i < shots; i++ {
 		out[sc.bin(s.rng.Float64())]++
-	}
-}
-
-// CountsMergeInto is the sorted-uniform merge variant of CountsInto:
-// all `shots` uniforms are drawn upfront (same RNG order as Counts),
-// sorted, and merged against the CDF with a single forward pointer —
-// O(len(probs) + shots) after the O(shots log shots) float sort. Each
-// uniform resolves to the identical bin as Counts' binary search, and a
-// histogram is order-insensitive, so the result is bit-identical to
-// Counts for equal sampler state. CountsInto (guide table) is the
-// production path; the merge is kept as an independently-verified
-// second implementation and for geometries whose CDF is too wide for a
-// useful guide table.
-func (s *Sampler) CountsMergeInto(sc *SampleScratch, probs []float64, shots int, out []int) {
-	if len(out) != len(probs) {
-		panic("sim: CountsMergeInto histogram length mismatch")
-	}
-	sc.cdf = CDFInto(sc.cdf, probs)
-	if cap(sc.uniforms) < shots {
-		sc.uniforms = make([]float64, shots)
-	}
-	sc.uniforms = sc.uniforms[:shots]
-	for i := range sc.uniforms {
-		sc.uniforms[i] = s.rng.Float64()
-	}
-	slices.Sort(sc.uniforms)
-	for i := range out {
-		out[i] = 0
-	}
-	k := 0
-	for _, u := range sc.uniforms {
-		// cdf[len-1] == 1 > u bounds the walk; ascending u means k only
-		// ever moves forward, stopping at the first cdf >= u exactly as
-		// searchBin does.
-		for sc.cdf[k] < u {
-			k++
-		}
-		out[k]++
 	}
 }
 

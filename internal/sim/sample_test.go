@@ -229,13 +229,6 @@ func TestCountsIntoMatchesCounts(t *testing.T) {
 					t.Fatalf("dist %d shots %d: CountsInto[%d] = %d, Counts = %d", di, shots, i, got[i], want[i])
 				}
 			}
-
-			sim.NewSampler(seed1, seed2).CountsMergeInto(sc, probs, shots, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dist %d shots %d: CountsMergeInto[%d] = %d, Counts = %d", di, shots, i, got[i], want[i])
-				}
-			}
 		}
 	}
 }
@@ -257,8 +250,8 @@ func TestReseedMatchesFreshSampler(t *testing.T) {
 }
 
 // TestCountsIntoZeroAllocWarm enforces the zero-alloc contract of the
-// pooled sampling stage: with warm scratch buffers, neither sampler
-// variant allocates.
+// pooled sampling stage: with warm scratch buffers, CountsInto does
+// not allocate.
 func TestCountsIntoZeroAllocWarm(t *testing.T) {
 	probs := make([]float64, 256)
 	for i := range probs {
@@ -268,12 +261,8 @@ func TestCountsIntoZeroAllocWarm(t *testing.T) {
 	sc := sim.GetSampleScratch()
 	defer sim.PutSampleScratch(sc)
 	out := make([]int, len(probs))
-	s.CountsInto(sc, probs, 2048, out)      // warm the guide/CDF buffers
-	s.CountsMergeInto(sc, probs, 2048, out) // warm the uniform buffer
+	s.CountsInto(sc, probs, 2048, out) // warm the guide/CDF buffers
 	if n := testing.AllocsPerRun(20, func() { s.CountsInto(sc, probs, 2048, out) }); n != 0 {
 		t.Errorf("warm CountsInto allocates %v times per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { s.CountsMergeInto(sc, probs, 2048, out) }); n != 0 {
-		t.Errorf("warm CountsMergeInto allocates %v times per run, want 0", n)
 	}
 }

@@ -42,46 +42,3 @@ func PutScratchState(s *State) {
 	}
 	statePools[s.n].Put(s)
 }
-
-// Batch-pool telemetry, mirroring the scalar scratch-state counters.
-var (
-	scratchBatchReuse = telemetry.Default().Counter("qfarith_scratch_batches_total", telemetry.L("result", "reuse"))
-	scratchBatchAlloc = telemetry.Default().Counter("qfarith_scratch_batches_total", telemetry.L("result", "alloc"))
-)
-
-// batchPools holds per-qubit-count free lists of scratch batch states.
-// Lane counts vary call to call (the last batch of a mixture is usually
-// short), so a pooled BatchState keeps its largest-ever amplitude buffer
-// and is resliced to the requested lane count on reuse.
-var batchPools [MaxQubits + 1]sync.Pool
-
-// GetScratchBatch returns a k-lane n-qubit batch from the scratch pool.
-// Amplitude contents are undefined — callers must seed every lane before
-// use (SeedLane).
-func GetScratchBatch(n, k int) *BatchState {
-	if b, ok := batchPools[n].Get().(*BatchState); ok {
-		need := (1 << uint(n)) * k
-		if cap(b.amps) >= need {
-			b.k = k
-			b.amps = b.amps[:need]
-			scratchBatchReuse.Inc()
-			return b
-		}
-		// Too narrow for this lane count: grow the buffer, keep the struct.
-		b.k = k
-		b.amps = make([]complex128, need)
-		scratchBatchAlloc.Inc()
-		return b
-	}
-	scratchBatchAlloc.Inc()
-	return NewBatchState(n, k)
-}
-
-// PutScratchBatch returns a batch obtained from GetScratchBatch to the
-// scratch pool.
-func PutScratchBatch(b *BatchState) {
-	if b == nil {
-		return
-	}
-	batchPools[b.n].Put(b)
-}
