@@ -221,107 +221,81 @@ func BenchmarkQFMApplyPaperGeometry(b *testing.B) {
 	}
 }
 
+// BenchmarkNoisyTrajectoryQFA is one noisy trajectory through the
+// mixture entry: Mixture with K = 1 (the ideal stratum plus one
+// conditional trajectory) on |0…0⟩ — keyed blocks, one key value.
 func BenchmarkNoisyTrajectoryQFA(b *testing.B) {
-	res := experiment.PaperAddGeometry().BuildCircuit(qft.Full)
-	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	st := sim.NewState(15)
-	rng := sim.NewSampler(1, 2).Rand()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		events := engine.SampleConditional(rng)
-		st.SetBasis(0)
-		engine.RunTrajectory(st, events)
-	}
+	benchOneTrajectory(b, experiment.PaperAddGeometry(), 1, 2)
 }
 
 func BenchmarkNoisyTrajectoryQFM(b *testing.B) {
-	res := experiment.PaperMulGeometry().BuildCircuit(qft.Full)
+	benchOneTrajectory(b, experiment.PaperMulGeometry(), 3, 4)
+}
+
+func benchOneTrajectory(b *testing.B, geo experiment.Geometry, seed1, seed2 uint64) {
+	res := geo.BuildCircuit(qft.Full)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	st := sim.NewState(16)
-	rng := sim.NewSampler(3, 4).Rand()
+	out := make([]float64, 1<<uint(len(geo.OutReg)))
+	rng := sim.NewSampler(seed1, seed2).Rand()
+	opts := noise.MixtureOpts{Trajectories: 1, Measure: geo.OutReg}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events := engine.SampleConditional(rng)
-		st.SetBasis(0)
-		engine.RunTrajectory(st, events)
+		engine.Mixture(out, nil, opts, rng)
 	}
 }
 
 // BenchmarkTrajectoryMixture is the trajectory-engine hot path as the
-// experiment layer drives it: one MixtureInto call per iteration (ideal
+// experiment layer drives it: one Mixture call per iteration (ideal
 // stratum + K conditional trajectories) on the paper geometries at the
 // current-hardware noise point. ReportAllocs makes steady-state scratch
 // allocations visible: divide allocs/op by K+1 for the per-trajectory
-// figure the fast-path work targets at zero.
+// figure the fast-path work targets at zero. The |0…0⟩ rows take keyed
+// blocks (one key value).
 func BenchmarkTrajectoryMixture(b *testing.B) {
-	bench := func(b *testing.B, geo experiment.Geometry, depth, traj int) {
+	bench := func(b *testing.B, geo experiment.Geometry, depth, traj int, initial []sim.Amp) {
 		res := geo.BuildCircuit(depth)
 		engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-		st := sim.NewState(geo.TotalQubits)
 		out := make([]float64, 1<<uint(len(geo.OutReg)))
 		rng := sim.NewSampler(21, 42).Rand()
 		opts := noise.MixtureOpts{Trajectories: traj, Measure: geo.OutReg}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st.SetBasis(0)
-			engine.MixtureInto(out, st, opts, rng)
+			engine.Mixture(out, initial, opts, rng)
 		}
 	}
 	b.Run("qfa-d3-k32", func(b *testing.B) {
-		bench(b, experiment.PaperAddGeometry(), 3, 32)
+		bench(b, experiment.PaperAddGeometry(), 3, 32, nil)
 	})
 	b.Run("qfa-full-k32", func(b *testing.B) {
-		bench(b, experiment.PaperAddGeometry(), qft.Full, 32)
+		bench(b, experiment.PaperAddGeometry(), qft.Full, 32, nil)
 	})
 	b.Run("qfm-d2-k32", func(b *testing.B) {
-		bench(b, experiment.PaperMulGeometry(), 2, 32)
+		bench(b, experiment.PaperMulGeometry(), 2, 32, nil)
 	})
 	b.Run("qfm-full-k32", func(b *testing.B) {
-		bench(b, experiment.PaperMulGeometry(), qft.Full, 32)
+		bench(b, experiment.PaperMulGeometry(), qft.Full, 32, nil)
 	})
 
-	// The fig3 workload's shape: full-depth adder, 2:2 input, K = 24,
-	// through the dense engine (the path before factoring) and through
-	// the factored engine, which simulates the 2 live blocks of 2^8
-	// amplitudes instead of the 2^15 state.
+	// The fig3 workload's shape, full-depth adder at K = 24, on the two
+	// layouts: a wide input spanning all 128 addend values, too many for
+	// keyed blocks, runs on one block of 2^15 amplitudes; the 2:2 input
+	// on its 2 live blocks of 2^8.
 	geo := experiment.PaperAddGeometry()
-	res := geo.BuildCircuit(qft.Full)
-	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	out := make([]float64, 1<<uint(len(geo.OutReg)))
-	opts := noise.MixtureOpts{Trajectories: 24, Measure: geo.OutReg}
-	var terms []int
+	var wide, pairs []sim.Amp
+	for x := 0; x < 128; x++ {
+		wide = append(wide, sim.Amp{Index: x | (37*x+5)%256<<uint(len(geo.XReg)), Value: 1})
+	}
 	for _, x := range []int{19, 100} {
 		for _, y := range []int{7, 200} {
-			terms = append(terms, x|y<<uint(len(geo.XReg)))
+			pairs = append(pairs, sim.Amp{Index: x | y<<uint(len(geo.XReg)), Value: 0.5})
 		}
 	}
-	b.Run("dense-qfa-22-k24", func(b *testing.B) {
-		st := sim.NewState(geo.TotalQubits)
-		rng := sim.NewSampler(21, 42).Rand()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			clear(st.Amps())
-			for _, idx := range terms {
-				st.Amps()[idx] = 0.5
-			}
-			engine.MixtureInto(out, st, opts, rng)
-		}
+	b.Run("dense-qfa-wide-k24", func(b *testing.B) {
+		bench(b, geo, qft.Full, 24, wide)
 	})
 	b.Run("factored-qfa-22-k24", func(b *testing.B) {
-		rng := sim.NewSampler(21, 42).Rand()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fs := sim.GetBlocks(geo.TotalQubits, engine.KeyMask())
-			for _, idx := range terms {
-				fs.Set(idx, 0.5)
-			}
-			noise.NormalizeBlocks(fs)
-			engine.MixtureFactoredInto(out, fs, opts, rng)
-			sim.PutBlocks(fs)
-		}
+		bench(b, geo, qft.Full, 24, pairs)
 	})
 }
 
@@ -335,18 +309,15 @@ func BenchmarkTrajectoryMixtureSteadyState(b *testing.B) {
 	geo := experiment.PaperAddGeometry()
 	res := geo.BuildCircuit(3)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	st := sim.NewState(geo.TotalQubits)
 	out := make([]float64, 1<<uint(len(geo.OutReg)))
 	rng := sim.NewSampler(21, 42).Rand()
 	opts := noise.MixtureOpts{Trajectories: 32, Measure: geo.OutReg}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	st.SetBasis(0)
-	engine.MixtureInto(out, st, opts, rng) // warm the pools
+	engine.Mixture(out, nil, opts, rng) // warm the pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SetBasis(0)
-		engine.MixtureInto(out, st, opts, rng)
+		engine.Mixture(out, nil, opts, rng)
 	}
 }
 

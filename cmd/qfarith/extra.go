@@ -405,8 +405,7 @@ func runShor(args []string) {
 		engine := noise.NewEngine(res, model)
 		dist := make([]float64, 1<<uint(*tbits))
 		rng := rand.New(rand.NewPCG(1, uint64(p2*1e9)))
-		st.SetBasis(0)
-		engine.MixtureInto(dist, st, noise.MixtureOpts{
+		engine.Mixture(dist, nil, noise.MixtureOpts{
 			Trajectories: *traj, Measure: lay.Phase,
 		}, rng)
 		mass := 0.0

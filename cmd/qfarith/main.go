@@ -689,19 +689,16 @@ func runDemo() {
 	geo := experiment.PaperAddGeometry()
 	res := geo.BuildCircuit(3)
 	engine := noise.NewEngine(res, noise.PaperModel(0.002, 0.01))
-	st := sim.NewState(geo.TotalQubits)
-	initial := make([]complex128, st.Dim())
+	var initial []sim.Amp
 	xs, ys := []int{19, 100}, []int{7, 200}
-	amp := complex(0.5, 0)
 	for _, x := range xs {
 		for _, y := range ys {
-			initial[x|y<<7] = amp
+			initial = append(initial, sim.Amp{Index: x | y<<7, Value: 0.5})
 		}
 	}
 	dist := make([]float64, 256)
 	rng := sim.NewSampler(12345, 678)
-	st.SetAmplitudes(initial)
-	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 64, Measure: geo.OutReg}, rng.Rand())
+	engine.Mixture(dist, initial, noise.MixtureOpts{Trajectories: 64, Measure: geo.OutReg}, rng.Rand())
 	counts := rng.Counts(dist, 2048)
 	correct := metrics.CorrectSums(xs, ys, 8)
 	fmt.Printf("addends x∈%v, y∈%v; correct sums: %v\n", xs, ys, keys(correct))

@@ -57,13 +57,9 @@ func TestQASMRoundTripThroughNoiseEngine(t *testing.T) {
 		t.Fatalf("round-tripped circuit has %d CX, want 182", two)
 	}
 	engine := noise.NewEngine(res, noise.Noiseless)
-	st := sim.NewState(15)
-	initial := make([]complex128, st.Dim())
 	x, y := 77, 123
-	initial[x|y<<7] = 1
 	dist := make([]float64, 256)
-	st.SetAmplitudes(initial)
-	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 1, Measure: arith.Range(7, 8)}, nil)
+	engine.Mixture(dist, []sim.Amp{{Index: x | y<<7, Value: 1}}, noise.MixtureOpts{Trajectories: 1, Measure: arith.Range(7, 8)}, nil)
 	if math.Abs(dist[(x+y)&255]-1) > 1e-9 {
 		t.Errorf("round-tripped QFA wrong: P(correct) = %g", dist[(x+y)&255])
 	}
@@ -182,13 +178,9 @@ func TestMitigationInsideMetricPipeline(t *testing.T) {
 	geo := experiment.AddGeometry(3, 4)
 	res := geo.BuildCircuit(qft.Full)
 	engine := noise.NewEngine(res, noise.Noiseless)
-	st := sim.NewState(geo.TotalQubits)
-	initial := make([]complex128, st.Dim())
 	x, y := 5, 9
-	initial[x|y<<3] = 1
 	dist := make([]float64, 16)
-	st.SetAmplitudes(initial)
-	engine.MixtureInto(dist, st, noise.MixtureOpts{Trajectories: 1, Measure: geo.OutReg}, nil)
+	engine.Mixture(dist, []sim.Amp{{Index: x | y<<3, Value: 1}}, noise.MixtureOpts{Trajectories: 1, Measure: geo.OutReg}, nil)
 	noisy := noise.ApplyReadoutError(dist, 0.25)
 	fixed, err := noise.MitigateReadout(noisy, 0.25)
 	if err != nil {

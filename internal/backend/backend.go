@@ -3,15 +3,15 @@
 // behind a pluggable Backend interface. Two implementations ship:
 //
 //   - TrajectoryBackend ("trajectory", the default and the only choice
-//     at large widths) — the stratified Pauli-trajectory mixture engine
-//     (internal/noise). A circuit whose key registers stay in the
+//     at large widths) — the stratified Pauli-trajectory mixture engine,
+//     noise.Engine.Mixture, which takes the sparse input terms and picks
+//     the state layout itself. A circuit whose key registers stay in the
 //     computational basis (the operands of the paper's adders and
 //     multipliers, routed or not), run on an input spanning few key
-//     values, takes the factored path: the input terms load straight
-//     into sim.Blocks, one small State per live key value, and no 2^n
-//     state is taken. Other runs take the dense path, one statevector
-//     through noise.MixtureInto. Both paths are bit-identical for equal
-//     seeds. "trajectory-batch" is a registry alias for the same
+//     values, runs on sim.Blocks, one small State per live key value,
+//     and no 2^n state is taken. Other runs hold one block over every
+//     wire, the whole statevector. Both layouts are bit-identical for
+//     equal seeds. "trajectory-batch" is a registry alias for the same
 //     backend, kept so run directories that recorded that name still
 //     resume;
 //   - DensityBackend — exact density-matrix channel evolution
@@ -19,9 +19,9 @@
 //     free, usable as ground truth at small register widths.
 //
 // Inputs are sparse (PointSpec.Initial lists the nonzero amplitudes), so
-// a dense trajectory run holds two 2^n statevectors — the error-free
-// prefix and the trajectory being run — and a factored run two sets of
-// live blocks.
+// a one-block trajectory run holds two 2^n statevectors — the
+// error-free prefix and the trajectory being run — and a keyed run two
+// sets of live blocks.
 //
 // The package also provides a Runner (one bounded worker pool shared
 // across every parallelism level of a sweep, with context cancellation)
@@ -77,10 +77,7 @@ type PointSpec struct {
 
 // Amp is one term of a sparse input state: amplitude Value on the
 // computational basis state Index.
-type Amp struct {
-	Index int
-	Value complex128
-}
+type Amp = sim.Amp
 
 // validate rejects malformed specs with a descriptive error.
 func (s PointSpec) validate() error {
@@ -120,50 +117,6 @@ func (s PointSpec) validate() error {
 		return fmt.Errorf("backend: initial state has squared norm %g over %d terms, want finite and nonzero", norm2, len(s.Initial))
 	}
 	return nil
-}
-
-// prepare loads the spec's input state into st: the Initial terms on a
-// zeroed state, normalized. The result is bit-identical to SetAmplitudes
-// on the equivalent dense vector, whose zeros add exactly 0 to the norm.
-func (s PointSpec) prepare(st *sim.State) {
-	if len(s.Initial) == 0 {
-		st.SetBasis(0)
-		return
-	}
-	amps := st.Amps()
-	clear(amps)
-	for _, a := range s.Initial {
-		amps[a.Index] = a.Value
-	}
-	st.Normalize()
-}
-
-// prepareBlocks loads the spec's input as live blocks over engine's key
-// qubits (the factored state), straight from the sparse terms, and
-// normalizes it. It returns nil — the run takes the dense path — when
-// the circuit has no key qubits or the input spans too many key values
-// for the blocks to pay off (noise.Engine.FactoredFits).
-func (s PointSpec) prepareBlocks(engine *noise.Engine) *sim.Blocks {
-	mask := engine.KeyMask()
-	if mask == 0 {
-		return nil
-	}
-	fs := sim.GetBlocks(s.Circuit.NumQubits, mask)
-	if len(s.Initial) == 0 {
-		fs.Set(0, 1)
-	}
-	for _, a := range s.Initial {
-		fs.Set(a.Index, a.Value)
-		if !engine.FactoredFits(fs.Len()) {
-			break // no need to load the rest
-		}
-	}
-	if !engine.FactoredFits(fs.Len()) {
-		sim.PutBlocks(fs)
-		return nil
-	}
-	noise.NormalizeBlocks(fs)
-	return fs
 }
 
 // Diagnostics reports execution metadata alongside a distribution.

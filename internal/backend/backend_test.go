@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand/v2"
@@ -11,7 +12,6 @@ import (
 	"qfarith/internal/experiment"
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
-	"qfarith/internal/sim"
 	"qfarith/internal/telemetry"
 )
 
@@ -204,11 +204,56 @@ func TestDensityMatchesTrajectory(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineBitIdenticalToScalar pins the default backend's dense
-// path on the paper's Fig. 3 adder (15 qubits, K = 24, λ2 = 1%): the
-// input spans all 128 addend values, too many for the factored path, so
-// backend.New("") and its "trajectory-batch" alias each record one dense
-// run and return the exact bytes noise.MixtureInto computes on the same
+// runMixture is the engine entry the trajectory backend runs: Mixture
+// on spec's inputs and seeds, returning the output and ideal
+// distributions.
+func runMixture(spec backend.PointSpec) (dist, ideal []float64) {
+	dist = make([]float64, 1<<uint(len(spec.Measure)))
+	ideal = make([]float64, len(dist))
+	noise.NewEngine(spec.Circuit, spec.Model).Mixture(dist, spec.Initial, noise.MixtureOpts{
+		Trajectories: spec.Trajectories, Measure: spec.Measure, IdealOut: ideal,
+	}, rand.New(rand.NewPCG(spec.Seed1, spec.Seed2)))
+	return dist, ideal
+}
+
+// layoutRuns reads the mixture's per-layout run counter.
+func layoutRuns(state string) uint64 {
+	return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
+}
+
+// checkRunIsMixture runs spec on b, checks that exactly one mixture run
+// took the given layout ("factored" or "dense"), and that the output
+// and ideal distributions are the exact bytes Mixture computes.
+func checkRunIsMixture(t *testing.T, b backend.Backend, spec backend.PointSpec, state string) {
+	t.Helper()
+	factored, dense := layoutRuns("factored"), layoutRuns("dense")
+	got, diag, err := b.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, dd := layoutRuns("factored")-factored, layoutRuns("dense")-dense
+	if (state == "factored") != (df == 1 && dd == 0) || (state == "dense") != (df == 0 && dd == 1) {
+		t.Errorf("runs counter moved factored +%d, dense +%d; want one %s run", df, dd, state)
+	}
+	if diag.Backend != backend.DefaultName {
+		t.Errorf("diagnostics name %q", diag.Backend)
+	}
+	want, wantIdeal := runMixture(spec)
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("dist[%d] = %g, Mixture %g", i, got[i], want[i])
+		}
+		if math.Float64bits(wantIdeal[i]) != math.Float64bits(diag.Ideal[i]) {
+			t.Fatalf("ideal[%d] = %g, Mixture %g", i, diag.Ideal[i], wantIdeal[i])
+		}
+	}
+}
+
+// TestDefaultEngineBitIdenticalToScalar pins the default backend on the
+// paper's Fig. 3 adder (15 qubits, K = 24, λ2 = 1%) with an input that
+// spans all 128 addend values, too many for keyed blocks: New("") and
+// its "trajectory-batch" alias each record one one-block ("dense") run
+// and return the exact bytes noise.Engine.Mixture computes on the same
 // input and seeds.
 func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 	geo := experiment.PaperAddGeometry()
@@ -225,50 +270,20 @@ func TestDefaultEngineBitIdenticalToScalar(t *testing.T) {
 		Trajectories: 24,
 		Seed1:        7, Seed2: 8,
 	}
-	st := sim.NewState(15)
-	clear(st.Amps())
-	for _, a := range initial {
-		st.Amps()[a.Index] = a.Value
-	}
-	st.Normalize()
-	want := make([]float64, 1<<8)
-	wantIdeal := make([]float64, len(want))
-	noise.NewEngine(spec.Circuit, spec.Model).MixtureInto(want, st, noise.MixtureOpts{
-		Trajectories: spec.Trajectories, Measure: spec.Measure, IdealOut: wantIdeal,
-	}, rand.New(rand.NewPCG(spec.Seed1, spec.Seed2)))
-
-	dense := telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "dense"))
 	for _, name := range []string{"", "trajectory-batch"} {
 		b, err := backend.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := dense.Value()
-		got, diag, err := b.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if dense.Value() != before+1 {
-			t.Errorf("New(%q): took no dense run on a full-support input", name)
-		}
-		if diag.Backend != backend.DefaultName {
-			t.Errorf("New(%q): diagnostics name %q", name, diag.Backend)
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("New(%q): dist[%d] = %g, MixtureInto %g", name, i, got[i], want[i])
-			}
-			if math.Float64bits(wantIdeal[i]) != math.Float64bits(diag.Ideal[i]) {
-				t.Fatalf("New(%q): ideal[%d] = %g, MixtureInto %g", name, i, diag.Ideal[i], wantIdeal[i])
-			}
-		}
+		t.Run(cmp.Or(name, "default"), func(t *testing.T) { checkRunIsMixture(t, b, spec, "dense") })
 	}
 }
 
-// TestFactoredRunMatchesDenseOracle: a fig3 2:2 instance takes the
-// factored path, as the runs counter records, and its distributions are
-// the exact bytes the dense engine computes on the same input and
-// seeds.
+// TestFactoredRunMatchesDenseOracle: a fig3 2:2 instance takes keyed
+// blocks, as the runs counter records, and its distributions are the
+// exact bytes noise.Engine.Mixture computes on the same input and
+// seeds. (Mixture's own oracle test compares both layouts with the
+// frozen dense engine bit for bit.)
 func TestFactoredRunMatchesDenseOracle(t *testing.T) {
 	geo := experiment.PaperAddGeometry()
 	var initial []backend.Amp
@@ -285,36 +300,5 @@ func TestFactoredRunMatchesDenseOracle(t *testing.T) {
 		Trajectories: 24,
 		Seed1:        7, Seed2: 8,
 	}
-	runs := func(state string) uint64 {
-		return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
-	}
-	factored, dense := runs("factored"), runs("dense")
-	got, diag, err := backend.NewTrajectoryBackend().Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs("factored") != factored+1 || runs("dense") != dense {
-		t.Errorf("runs counter moved factored %d→%d, dense %d→%d; want one factored run",
-			factored, runs("factored"), dense, runs("dense"))
-	}
-
-	st := sim.NewState(15)
-	clear(st.Amps())
-	for _, a := range initial {
-		st.Amps()[a.Index] = a.Value
-	}
-	st.Normalize()
-	want := make([]float64, len(got))
-	wantIdeal := make([]float64, len(got))
-	noise.NewEngine(spec.Circuit, spec.Model).MixtureInto(want, st, noise.MixtureOpts{
-		Trajectories: spec.Trajectories, Measure: spec.Measure, IdealOut: wantIdeal,
-	}, rand.New(rand.NewPCG(spec.Seed1, spec.Seed2)))
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("dist[%d] = %g, dense oracle %g", i, got[i], want[i])
-		}
-		if math.Float64bits(wantIdeal[i]) != math.Float64bits(diag.Ideal[i]) {
-			t.Fatalf("ideal[%d] = %g, dense oracle %g", i, diag.Ideal[i], wantIdeal[i])
-		}
-	}
+	checkRunIsMixture(t, backend.NewTrajectoryBackend(), spec, "factored")
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"qfarith/internal/noise"
-	"qfarith/internal/sim"
-	"qfarith/internal/telemetry"
 	"qfarith/internal/transpile"
 )
 
@@ -26,20 +24,16 @@ var (
 	engineCacheHit      = cacheCounter("engine", "hit", "")
 	engineCacheMiss     = cacheCounter("engine", "miss", "")
 	engineCacheEviction = cacheCounter("engine", "eviction", "")
-
-	// Which state representation each run took (see Run).
-	mixRunsFactored = telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "factored"))
-	mixRunsDense    = telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", "dense"))
 )
 
 // TrajectoryBackend evaluates point specs with the stratified Pauli
 // trajectory mixture engine (internal/noise): the no-error stratum is
 // exact and the conditional (≥1 error) remainder is Monte Carlo over
 // spec.Trajectories samples. It is the default backend and the one that
-// reproduces the paper's per-shot noise semantics. Runs whose input
-// spans few values of the circuit's key wires go through
-// noise.MixtureFactoredInto on live blocks; the rest through the dense
-// noise.MixtureInto.
+// reproduces the paper's per-shot noise semantics. Every run goes
+// through noise.Engine.Mixture, which picks the state layout: live
+// blocks over the circuit's key wires when the input spans few of
+// their values, else one block holding the whole statevector.
 //
 // The backend caches noise engines per (circuit, model) pair in an LRU
 // of maxCachedEngines entries, so the per-circuit precomputation (error
@@ -131,7 +125,7 @@ func (t *TrajectoryBackend) EngineCacheLen() int {
 
 // Run implements Backend. The RNG stream is fully determined by
 // (Seed1, Seed2), so equal specs give bit-identical distributions
-// regardless of scheduling or engine. The states are pooled; only the
+// regardless of scheduling or state layout. The states are pooled; only the
 // returned distributions are freshly allocated.
 func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distribution, Diagnostics, error) {
 	if err := spec.validate(); err != nil {
@@ -144,22 +138,11 @@ func (t *TrajectoryBackend) Run(ctx context.Context, spec PointSpec) (Distributi
 	dist := make(Distribution, 1<<uint(len(spec.Measure)))
 	ideal := make(Distribution, len(dist))
 	rng := rand.New(rand.NewPCG(spec.Seed1, spec.Seed2))
-	opts := noise.MixtureOpts{
+	engine.Mixture(dist, spec.Initial, noise.MixtureOpts{
 		Trajectories: spec.Trajectories,
 		Measure:      spec.Measure,
 		IdealOut:     ideal,
-	}
-	if fs := spec.prepareBlocks(engine); fs != nil {
-		defer sim.PutBlocks(fs)
-		engine.MixtureFactoredInto(dist, fs, opts, rng)
-		mixRunsFactored.Inc()
-	} else {
-		st := sim.GetScratchState(spec.Circuit.NumQubits)
-		defer sim.PutScratchState(st)
-		spec.prepare(st)
-		engine.MixtureInto(dist, st, opts, rng)
-		mixRunsDense.Inc()
-	}
+	}, rng)
 	diag := Diagnostics{
 		Backend:        t.Name(),
 		NoErrorProb:    engine.NoErrorProb(),

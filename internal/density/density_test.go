@@ -11,6 +11,7 @@ import (
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
 	"qfarith/internal/sim"
+	"qfarith/internal/telemetry"
 	"qfarith/internal/testutil"
 	"qfarith/internal/transpile"
 )
@@ -88,35 +89,77 @@ func TestAmplitudeDampChannel(t *testing.T) {
 
 // TestTrajectoryEngineConvergesToDensity is the headline cross-check:
 // the Monte Carlo trajectory mixture must converge to the exact channel
-// output computed by density-matrix evolution.
+// output computed by density-matrix evolution, which shares no fusion,
+// event-span composition or block layout with the engine (only the
+// per-gate State kernels). On a fixed-seed grid — a 5-qubit adder on a
+// one-value input (keyed blocks) and on an all-addend input (one block),
+// and a bare 5-qubit QFT (no key wire: one block), each at three noise
+// levels and two AQFT depths — the total-variation distance stays below
+// (1-w0)·√(m/K): only the conditional stratum, weight 1-w0, is sampled,
+// and K samples of an m-bin distribution miss it by at most √(m/K) in
+// expected L1 norm, twice the expected TV distance.
 func TestTrajectoryEngineConvergesToDensity(t *testing.T) {
-	c := arith.NewQFA(2, 3, arith.Config{Depth: 2, AddCut: arith.FullAdd})
-	res := transpile.Transpile(c)
-	model := noise.PaperModel(0.01, 0.03)
+	const k = 3000
+	type input struct {
+		name    string
+		circ    func(depth int) *circuit.Circuit
+		amps    []sim.Amp
+		measure []int
+		layout  string // qfarith_mixture_runs_total state label
+	}
+	qfa := func(depth int) *circuit.Circuit {
+		return arith.NewQFA(2, 3, arith.Config{Depth: depth, AddCut: arith.FullAdd})
+	}
+	var allAddends []sim.Amp
+	for x := 0; x < 4; x++ {
+		allAddends = append(allAddends, sim.Amp{Index: x | (3*x+1)%8<<2, Value: complex(1, 0.3*float64(x))})
+	}
+	inputs := []input{
+		{"qfa-2-3-basis", qfa, []sim.Amp{{Index: 2 | 5<<2, Value: 1}}, arith.Range(2, 3), "factored"},
+		{"qfa-2-3-all-addends", qfa, allAddends, arith.Range(2, 3), "dense"},
+		{"qft-5", func(depth int) *circuit.Circuit { return qft.New(5, depth) },
+			[]sim.Amp{{Index: 3, Value: 1}, {Index: 11, Value: 1i}, {Index: 19, Value: -1}, {Index: 27, Value: 0.5}},
+			arith.Range(0, 5), "dense"},
+	}
+	models := []noise.Model{
+		noise.PaperModel(0.002, 0.01),
+		noise.PaperModel(0.01, 0.03),
+		noise.PaperModel(0.03, 0.1),
+	}
+	runs := func(state string) uint64 {
+		return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
+	}
+	for _, in := range inputs {
+		for _, depth := range []int{1, qft.Full} {
+			res := transpile.Transpile(in.circ(depth))
+			n := res.NumQubits
+			dense := make([]complex128, 1<<uint(n))
+			for _, a := range in.amps {
+				dense[a.Index] = a.Value
+			}
+			st := sim.NewState(n)
+			st.SetAmplitudes(dense)
+			for mi, model := range models {
+				rho := density.FromPure(st.Amps())
+				density.RunNoisy(rho, res, model)
+				exact := rho.RegisterProbs(in.measure)
 
-	x, y := 2, 5
-	initAmps := make([]complex128, 1<<5)
-	initAmps[x|y<<2] = 1
-
-	// Exact channel output.
-	rho := density.FromPure(initAmps)
-	density.RunNoisy(rho, res, model)
-	exact := rho.RegisterProbs(arith.Range(2, 3))
-
-	// Trajectory mixture with a large trajectory budget.
-	engine := noise.NewEngine(res, model)
-	st := sim.NewState(5)
-	dist := make([]float64, 8)
-	rng := testutil.NewRand(7)
-	st.SetAmplitudes(initAmps)
-	engine.MixtureInto(dist, st, noise.MixtureOpts{
-		Trajectories: 12000,
-		Measure:      arith.Range(2, 3),
-	}, rng)
-
-	for v := range exact {
-		if d := math.Abs(exact[v] - dist[v]); d > 0.01 {
-			t.Errorf("outcome %d: exact %.4f vs trajectories %.4f (Δ %.4f)", v, exact[v], dist[v], d)
+				engine := noise.NewEngine(res, model)
+				dist := make([]float64, len(exact))
+				before := runs(in.layout)
+				engine.Mixture(dist, in.amps, noise.MixtureOpts{Trajectories: k, Measure: in.measure}, testutil.NewRand(uint64(7+mi)))
+				if runs(in.layout) != before+1 {
+					t.Errorf("%s depth %d: run did not take the %s layout", in.name, depth, in.layout)
+				}
+				var tv float64
+				for v := range exact {
+					tv += math.Abs(exact[v]-dist[v]) / 2
+				}
+				bound := (1 - engine.NoErrorProb()) * math.Sqrt(float64(len(exact))/k)
+				if tv > bound {
+					t.Errorf("%s depth %d, model %+v: TV distance %.4g to the exact channel, want ≤ %.4g", in.name, depth, model, tv, bound)
+				}
+			}
 		}
 	}
 }

@@ -11,31 +11,14 @@ import (
 	"qfarith/internal/transpile"
 )
 
-// An event-containing span is expanded into its native gates, each a
-// full pass over the statevector, even though the whole span acts on at
-// most three qubits. Composing the span's natives — with the Pauli
-// insertions at their exact physical positions — into one small dense
-// unitary and applying it with a single ApplyKQ pass replaces ~5-20
-// strided statevector passes per event span. The composition happens in
-// an 8x8 (or smaller) matrix, so its cost is negligible next to one
-// statevector pass.
+// An event-containing span acts on at most three qubits. Composing its
+// natives — with the Pauli insertions at their exact physical
+// positions — into one small dense unitary and applying it with a
+// single ApplyKQ pass replaces ~5-20 strided passes per event span. The
+// composition happens in an 8x8 (or smaller) matrix, so its cost is
+// negligible next to one pass over the state.
 
 const maxDenseDim = 1 << sim.MaxDenseQubits
-
-// applyEventSpan applies span si's native ops, with the given events
-// (all inside the span, sorted by PhysIdx) inserted, to st as one dense
-// unitary. Returns false if the span touches more than MaxDenseQubits
-// distinct qubits, in which case the caller must expand it natively.
-func (e *Engine) applyEventSpan(st *sim.State, si int, events []Event) bool {
-	var qs [sim.MaxDenseQubits]int
-	var rm [maxDenseDim * maxDenseDim]complex128
-	k, ok := composeSpan(e.Res.Ops, e.Res.Spans[si], events, &qs, &rm)
-	if !ok {
-		return false
-	}
-	st.ApplyKQ(qs[:k], rm[:(1<<uint(k))*(1<<uint(k))])
-	return true
-}
 
 // composeSpan composes the native ops[span] with the given events
 // inserted into one row-major dense unitary on the span's distinct

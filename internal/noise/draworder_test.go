@@ -92,7 +92,7 @@ func (m *mirrorSampler) sample(rng *rand.Rand) []noise.Event {
 
 // TestConditionalDrawOrderContract checks SampleConditional against the
 // independently mirrored sampler over many sequential trajectories
-// sharing one RNG stream — exactly how MixtureInto consumes it.
+// sharing one RNG stream — exactly how Mixture consumes it.
 func TestConditionalDrawOrderContract(t *testing.T) {
 	e := qfaEngine(3, noise.PaperModel(0.01, 0.03))
 	m := newMirrorSampler(e)

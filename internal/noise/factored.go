@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"slices"
 
 	"qfarith/internal/circuit"
@@ -32,6 +31,11 @@ import (
 // qubits). Because a key map is a bijection, the block count is
 // invariant along a trajectory.
 //
+// Every mixture run evolves sim.Blocks under a factPlan: the keyed plan
+// over the circuit's key wires when the input's key values fit, else
+// the one-block plan (mask 0), whose single block is the whole
+// statevector. It is the same code either way.
+//
 // The blocks hold wires, not physical qubits. Wire w starts on
 // physical qubit w, and a SWAP source op — a routing swap — exchanges
 // the wires on its two qubits instead of moving amplitudes (onWires),
@@ -40,11 +44,12 @@ import (
 // wires before the exchange.
 //
 // Every nonzero amplitude sees the same floating-point operations in
-// the same order as in the dense engine; the amplitudes the dense
-// engine holds outside the blocks are exactly zero there and only ever
-// meet other zeros or exact-zero matrix entries, so dropping them
-// changes no result bit. Probabilities and norms are summed in
-// ascending physical basis index, the dense engine's order. When no
+// the same order as in the dense statevector engine kept as the test
+// oracle; the amplitudes a statevector holds outside the blocks are
+// exactly zero there and only ever meet other zeros or exact-zero
+// matrix entries, so dropping them changes no result bit.
+// Probabilities and norms are summed in ascending physical basis
+// index, the statevector's order. When no
 // unmeasured dense qubit lies above an unmeasured key qubit — on fig3,
 // fig4 and the routed adders every dense qubit is measured — the
 // blocks that reach one probability bin differ only in key bits above
@@ -202,19 +207,11 @@ func basisMask(w *transpile.Result) uint64 {
 	return mask
 }
 
-// newFactPlan builds the engine's plan, or returns nil when the circuit
-// has no key wire or no dense one, or — a safety net behind the
-// analysis — when an event span's key image would depend on dense
-// wires.
-func (e *Engine) newFactPlan() *factPlan {
-	n := e.Res.NumQubits
-	w, at := onWires(e.Res)
-	mask := basisMask(w)
-	nk := bits.OnesCount64(mask)
-	if nk == 0 || nk == n {
-		return nil
-	}
-	p := &factPlan{w: w, at: at, mask: mask, nd: n - nk, local: make([]int, n)}
+// newFactPlan builds the plan that lays the circuit on wires w, placed
+// by at, out over the key wires mask.
+func newFactPlan(w *transpile.Result, at frame, mask uint64) *factPlan {
+	n := w.NumQubits
+	p := &factPlan{w: w, at: at, mask: mask, nd: n - bits.OnesCount64(mask), local: make([]int, n)}
 	j := 0
 	for q := 0; q < n; q++ {
 		if p.isKey(q) {
@@ -244,12 +241,82 @@ func (e *Engine) newFactPlan() *factPlan {
 		}
 		p.segTerms[si] = all[lo:len(all):len(all)]
 	}
-	for si := range w.Spans {
-		if !keyImageOK(p, si) {
+	return p
+}
+
+// keyedPlan returns the engine's plan over BasisMask's key wires, or
+// nil when the circuit has no key wire or no dense one, or — a safety
+// net behind the analysis — when an event span's key image would
+// depend on dense wires. It is built on first use.
+func (e *Engine) keyedPlan() *factPlan {
+	e.keyedOnce.Do(func() {
+		w, at := onWires(e.Res)
+		mask := basisMask(w)
+		if nk := bits.OnesCount64(mask); nk == 0 || nk == e.Res.NumQubits {
+			return
+		}
+		p := newFactPlan(w, at, mask)
+		for si := range p.w.Spans {
+			if !keyImageOK(p, si) {
+				return
+			}
+		}
+		e.keyed = p
+	})
+	return e.keyed
+}
+
+// flatPlan returns the engine's one-block plan (mask 0: every wire
+// dense, local the identity), built on first use. Routing SWAPs stay
+// relabellings of wires.
+func (e *Engine) flatPlan() *factPlan {
+	e.flatOnce.Do(func() {
+		w, at := onWires(e.Res)
+		e.flat = newFactPlan(w, at, 0)
+	})
+	return e.flat
+}
+
+// fits reports whether a run whose input spans keys distinct key values
+// should take p's layout: keyed blocks, keys × 2^n_d amplitudes, must
+// be at most a quarter of the 2^n statevector; the one-block layout
+// always fits.
+func (p *factPlan) fits(keys int) bool {
+	return p.mask == 0 || keys<<uint(p.nd) <= 1<<uint(len(p.local))>>2
+}
+
+// load lays initial (see Mixture) out as normalized blocks: under the
+// keyed plan when there is one and the input's key values fit, else
+// under the one-block plan. It counts the layout taken.
+func (e *Engine) load(initial []sim.Amp, sc *mixScratch) (*factPlan, *sim.Blocks) {
+	if p := e.keyedPlan(); p != nil {
+		if fs := p.load(initial, sc); fs != nil {
+			mixRunsFactored.Inc()
+			return p, fs
+		}
+	}
+	p := e.flatPlan()
+	fs := p.load(initial, sc)
+	mixRunsDense.Inc()
+	return p, fs
+}
+
+// load returns initial as normalized blocks under p, or nil when its key
+// values do not fit (see fits).
+func (p *factPlan) load(initial []sim.Amp, sc *mixScratch) *sim.Blocks {
+	fs := sim.GetBlocks(len(p.local), p.mask)
+	if len(initial) == 0 {
+		fs.Set(0, 1)
+	}
+	for _, a := range initial {
+		fs.Set(a.Index, a.Value)
+		if !p.fits(fs.Len()) {
+			sim.PutBlocks(fs)
 			return nil
 		}
 	}
-	return p
+	normalizeBlocks(fs, sc)
+	return fs
 }
 
 func (p *factPlan) isKey(q int) bool { return p.mask>>uint(q)&1 == 1 }
@@ -265,89 +332,42 @@ func (p *factPlan) compact(x uint64) uint64 {
 	return out
 }
 
-// plan returns the engine's factored plan (nil when it has none),
-// building it on first use.
-func (e *Engine) plan() *factPlan {
-	e.factOnce.Do(func() { e.fact = e.newFactPlan() })
-	return e.fact
-}
-
-// KeyMask returns the key qubits MixtureFactoredInto's blocks must be
-// laid out over: BasisMask of the circuit, or 0 when the circuit has no
-// key qubit or no dense qubit and only the dense engines apply.
-func (e *Engine) KeyMask() uint64 {
-	if p := e.plan(); p != nil {
-		return p.mask
-	}
-	return 0
-}
-
-// FactoredFits reports whether a run whose input spans keys distinct
-// key values should take the factored path: its blocks, keys × 2^n_d
-// amplitudes, must be at most a quarter of the dense 2^n state.
-func (e *Engine) FactoredFits(keys int) bool {
-	p := e.plan()
-	return p != nil && keys >= 1 && keys<<uint(p.nd) <= 1<<uint(e.Res.NumQubits)>>2
-}
-
-// MixtureFactoredInto is MixtureInto on a factored state: fs holds the
-// prepared, normalized input (see NormalizeBlocks) laid out over
-// KeyMask and is overwritten. It draws the same trajectories, groups
-// and checkpoints them the same way, and returns the same bits in out
-// and opts.IdealOut as MixtureInto on the equivalent dense state.
-func (e *Engine) MixtureFactoredInto(out []float64, fs *sim.Blocks, opts MixtureOpts, rng *rand.Rand) {
-	m := 1 << uint(len(opts.Measure))
-	if len(out) != m {
-		panic("noise: output buffer size mismatch")
-	}
-	if p := e.plan(); p == nil || fs.KeyMask() != p.mask || fs.NumQubits() != e.Res.NumQubits {
-		panic("noise: block layout does not match the engine's key qubits")
-	}
-	sc := mixPool.Get().(*mixScratch)
-	defer mixPool.Put(sc)
-	if e.w0 >= 1 {
-		e.applyFusedRangeBlocks(fs, 0, len(e.Res.Source), sc)
-		registerProbsBlocks(fs, e.fact.at, out, opts.Measure, sc)
-		if opts.IdealOut != nil {
-			copy(opts.IdealOut, out)
-		}
-		return
-	}
-	work := sim.GetBlocks(fs.NumQubits(), fs.KeyMask())
-	defer sim.PutBlocks(work)
-	sc.blocks = blockWalk{e: e, prefix: fs, work: work, measure: opts.Measure, sc: sc}
-	e.mixtureCheckpointed(out, &sc.blocks, sc, opts, rng)
-	sc.blocks = blockWalk{}
-}
-
-// blockWalk is the factored checkpointWalk: prefix and work are blocks.
+// blockWalk is the state the checkpointed mixture loop evolves under
+// plan p: an error-free prefix that advances through the circuit, and
+// a work state each trajectory branches into.
 type blockWalk struct {
 	e            *Engine
+	p            *factPlan
 	prefix, work *sim.Blocks
 	measure      []int
 	sc           *mixScratch
 }
 
-func (w *blockWalk) advance(lo, hi int) { w.e.applyFusedRangeBlocks(w.prefix, lo, hi, w.sc) }
-func (w *blockWalk) branch()            { w.work.CopyFrom(w.prefix) }
-func (w *blockWalk) run(events []Event, from int) int {
-	return w.e.runSpanRangeBlocks(w.work, events, from, len(w.e.Res.Spans), w.sc)
-}
+// advance applies the error-free source ops [lo, hi) to the prefix.
+func (w *blockWalk) advance(lo, hi int) { w.applyFusedRange(w.prefix, lo, hi) }
+
+// branch copies the prefix into the work state.
+func (w *blockWalk) branch() { w.work.CopyFrom(w.prefix) }
+
+// probs writes the measured marginal of the prefix or work state.
 func (w *blockWalk) probs(out []float64, prefix bool) {
 	fs := w.work
 	if prefix {
 		fs = w.prefix
 	}
-	registerProbsBlocks(fs, w.e.fact.at, out, w.measure, w.sc)
+	registerProbsBlocks(fs, w.p.at, out, w.measure, w.sc)
 }
 
-// NormalizeBlocks rescales fs to unit norm, bit-identically to
-// State.Normalize on the equivalent dense state: the squared norm is
-// summed in ascending global index, and the dense state's zeros add
-// exactly 0 to it. Panics on the zero vector.
-func NormalizeBlocks(fs *sim.Blocks) {
-	sc := mixPool.Get().(*mixScratch)
-	defer mixPool.Put(sc)
+// normalizeBlocks rescales fs to unit norm, bit-identically to
+// State.Normalize on the equivalent statevector: the squared norm is
+// summed in ascending global index, and the statevector's zeros add
+// exactly 0 to it. A single block is that order already. Panics on the
+// zero vector.
+func normalizeBlocks(fs *sim.Blocks, sc *mixScratch) {
+	if fs.Len() == 1 {
+		fs.State(0).Normalize()
+		return
+	}
 	var s float64
 	walkAscending(fs, nil, sc, func(_ uint64, a complex128) {
 		s += real(a)*real(a) + imag(a)*imag(a)
@@ -437,7 +457,7 @@ func densePerm(dense []int, at frame, sc *mixScratch) []int {
 	return perm
 }
 
-// registerProbsBlocks is State.RegisterProbsInto on a factored state
+// registerProbsBlocks is State.RegisterProbsInto on a block state
 // whose wires at places on the physical qubits: each bin receives its
 // contributions in ascending physical index, as in the dense walk. When
 // keyOrderOK holds, visiting the blocks in ascending physical key
@@ -445,6 +465,11 @@ func densePerm(dense []int, at frame, sc *mixScratch) []int {
 func registerProbsBlocks(fs *sim.Blocks, at frame, out []float64, qubits []int, sc *mixScratch) {
 	if len(out) != 1<<uint(len(qubits)) {
 		panic("noise: register output buffer size mismatch")
+	}
+	if fs.KeyMask() == 0 && at == nil {
+		// One block on its own qubits: the statevector walk itself.
+		fs.State(0).RegisterProbsInto(out, qubits)
+		return
 	}
 	clear(out)
 	if keyOrderOK(fs, at, qubits) {
@@ -535,9 +560,15 @@ func registerProbsKeyOrder(fs *sim.Blocks, at frame, out []float64, qubits []int
 	}
 }
 
-// applyFusedRangeBlocks mirrors applyFusedRange on a factored state.
-func (e *Engine) applyFusedRangeBlocks(fs *sim.Blocks, lo, hi int, sc *mixScratch) {
-	p := e.fact
+// applyFusedRange applies the error-free source ops [lo, hi) to fs
+// through the circuit's fused program: diagonal runs go through the
+// one-pass ApplyDiagTerms kernel, fused 1q runs through a single 2x2
+// apply, everything else through the per-op kernels. Diagonal runs stay
+// bit-exact with op-by-op execution even when [lo, hi) covers only part
+// of a segment; a partially covered 1q segment falls back to op-by-op
+// since its fused matrix cannot be split.
+func (w *blockWalk) applyFusedRange(fs *sim.Blocks, lo, hi int) {
+	p := w.p
 	fp := p.w.Fused()
 	for i := lo; i < hi; {
 		si := fp.SegOfSrc[i]
@@ -545,7 +576,7 @@ func (e *Engine) applyFusedRangeBlocks(fs *sim.Blocks, lo, hi int, sc *mixScratc
 		end := min(seg.SrcEnd, hi)
 		switch seg.Kind {
 		case transpile.SegDiag:
-			applyDiagBlocks(fs, p.segTerms[si], i, end, sc)
+			applyDiagBlocks(fs, p.segTerms[si], i, end, w.sc)
 		case transpile.Seg1Q:
 			if i == seg.SrcStart && end == seg.SrcEnd {
 				lq := p.local[seg.Qubit]
@@ -554,11 +585,11 @@ func (e *Engine) applyFusedRangeBlocks(fs *sim.Blocks, lo, hi int, sc *mixScratc
 				}
 			} else {
 				for j := i; j < end; j++ {
-					e.applyOpBlocks(fs, p.w.Source[j], sc)
+					w.applyOp(fs, p.w.Source[j])
 				}
 			}
 		default:
-			e.applyOpBlocks(fs, p.w.Source[i], sc)
+			w.applyOp(fs, p.w.Source[i])
 		}
 		i = end
 	}
@@ -591,12 +622,12 @@ func applyDiagBlocks(fs *sim.Blocks, terms []factTerm, lo, hi int, sc *mixScratc
 	}
 }
 
-// applyOpBlocks applies one op (source or native, on wires) to a
-// factored state, mirroring State.ApplyOp's kernel choice so every
-// amplitude sees the same arithmetic. A SWAP does nothing: the wires
-// of later ops already carry its exchange.
-func (e *Engine) applyOpBlocks(fs *sim.Blocks, op circuit.Op, sc *mixScratch) {
-	p := e.fact
+// applyOp applies one op (source or native, on wires) to fs, mirroring
+// State.ApplyOp's kernel choice so every amplitude sees the same
+// arithmetic. A SWAP does nothing: the wires of later ops already carry
+// its exchange.
+func (w *blockWalk) applyOp(fs *sim.Blocks, op circuit.Op) {
+	p, sc := w.p, w.sc
 	k, q := op.Kind, op.Qubits
 	if k == gate.SWAP {
 		return
@@ -727,15 +758,15 @@ func pauliBlocks(p *factPlan, fs *sim.Blocks, q int, pl uint8) {
 	}
 }
 
-// applyEventBlocks mirrors applyEvent on a factored state.
-func (e *Engine) applyEventBlocks(fs *sim.Blocks, ev Event) {
-	op := e.fact.w.Ops[ev.PhysIdx]
+// applyEvent applies the Pauli insertion ev after native op ev.PhysIdx.
+func (w *blockWalk) applyEvent(fs *sim.Blocks, ev Event) {
+	op := w.p.w.Ops[ev.PhysIdx]
 	if op.Kind == gate.CX {
-		pauliBlocks(e.fact, fs, op.Qubits[0], ev.Pauli>>2)
-		pauliBlocks(e.fact, fs, op.Qubits[1], ev.Pauli&3)
+		pauliBlocks(w.p, fs, op.Qubits[0], ev.Pauli>>2)
+		pauliBlocks(w.p, fs, op.Qubits[1], ev.Pauli&3)
 		return
 	}
-	pauliBlocks(e.fact, fs, op.Qubits[0], ev.Pauli)
+	pauliBlocks(w.p, fs, op.Qubits[0], ev.Pauli)
 }
 
 // spanSplit splits the qubits of a composed event span into key and
@@ -841,8 +872,10 @@ func keyImageOK(p *factPlan, si int) bool {
 	return true
 }
 
-// applyEventSpanBlocks mirrors applyEventSpan on a factored state. The
-// composed span unitary U maps key-basis states to key-basis states
+// applyEventSpan applies span si's native ops, with the given events
+// (all inside the span, sorted by PhysIdx) inserted, to fs as one
+// composed unitary U: one ApplyKQ pass per block instead of one pass
+// per native. U maps key-basis states to key-basis states
 // (every native and Pauli in it does), so on a block whose span key
 // bits read kp it acts as the restriction of U to the columns with key
 // part kp: those columns' nonzeros all lie in rows with one key part
@@ -852,8 +885,8 @@ func keyImageOK(p *factPlan, si int) bool {
 // products of exact zeros. A SWAP span's wires already carry the
 // exchange after it, so there U becomes SWAP·U: the same entries, rows
 // exchanged. Returns false when the span needs native expansion.
-func (e *Engine) applyEventSpanBlocks(fs *sim.Blocks, si int, events []Event) bool {
-	p := e.fact
+func (w *blockWalk) applyEventSpan(fs *sim.Blocks, si int, events []Event) bool {
+	p := w.p
 	var qs [sim.MaxDenseQubits]int
 	var rm [maxDenseDim * maxDenseDim]complex128
 	k, ok := composeSpan(p.w.Ops, p.w.Spans[si], events, &qs, &rm)
@@ -909,19 +942,25 @@ func (e *Engine) applyEventSpanBlocks(fs *sim.Blocks, si int, events []Event) bo
 	return true
 }
 
-// runSpanRangeBlocks mirrors runSpanRange on a factored state.
-func (e *Engine) runSpanRangeBlocks(fs *sim.Blocks, events []Event, lo, hi int, sc *mixScratch) int {
-	res := e.fact.w
+// run simulates spans [from, end) of the work state with the given
+// events (sorted by PhysIdx, none before span from) and returns how
+// many it consumed. Stretches of spans without events execute through
+// the fused program; a span containing events applies its natives and
+// Paulis as one composed unitary, or, on more than MaxDenseQubits
+// qubits, native by native with the Paulis at their exact physical
+// positions — so the trajectory is bit-exact with a fully native
+// simulation (up to global phase).
+func (w *blockWalk) run(events []Event, from int) int {
+	fs, res := w.work, w.p.w
+	hi := len(res.Spans)
 	ei := 0
-	for si := lo; si < hi; {
+	for si := from; si < hi; {
 		next := hi
 		if ei < len(events) {
-			if s := e.spanOf[events[ei].PhysIdx]; s < hi {
-				next = s
-			}
+			next = w.e.spanOf[events[ei].PhysIdx]
 		}
 		if next > si {
-			e.applyFusedRangeBlocks(fs, si, next, sc)
+			w.applyFusedRange(fs, si, next)
 			si = next
 			continue
 		}
@@ -930,15 +969,15 @@ func (e *Engine) runSpanRangeBlocks(fs *sim.Blocks, events []Event, lo, hi int, 
 		for e2 < len(events) && events[e2].PhysIdx < span.End {
 			e2++
 		}
-		if e.applyEventSpanBlocks(fs, si, events[ei:e2]) {
+		if w.applyEventSpan(fs, si, events[ei:e2]) {
 			ei = e2
 			si++
 			continue
 		}
 		for pi := span.Start; pi < span.End; pi++ {
-			e.applyOpBlocks(fs, res.Ops[pi], sc)
+			w.applyOp(fs, res.Ops[pi])
 			for ei < len(events) && events[ei].PhysIdx == pi {
-				e.applyEventBlocks(fs, events[ei])
+				w.applyEvent(fs, events[ei])
 				ei++
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"qfarith/internal/arith"
@@ -14,6 +16,7 @@ import (
 	"qfarith/internal/noise"
 	"qfarith/internal/qft"
 	"qfarith/internal/sim"
+	"qfarith/internal/telemetry"
 	"qfarith/internal/testutil"
 	"qfarith/internal/transpile"
 )
@@ -105,9 +108,11 @@ func embed(terms []amp, initial []int) []amp {
 	return out
 }
 
-// runFactoredAndDense runs one mixture through the factored engine and
-// through the dense MixtureInto oracle from the same seed and
-// returns the first bit difference in the output or ideal distribution.
+// runFactoredAndDense runs one mixture through Mixture, through each
+// of its block layouts — keyed blocks when the engine has a keyed plan,
+// whatever the input's key count, and one block over every wire — and
+// through the dense MixtureInto oracle, from the same seed, and returns
+// the first bit difference in the output or ideal distribution.
 func runFactoredAndDense(e *noise.Engine, terms []amp, measure []int, k int, seed uint64) error {
 	n := e.Res.NumQubits
 	m := 1 << uint(len(measure))
@@ -121,21 +126,39 @@ func runFactoredAndDense(e *noise.Engine, terms []amp, measure []int, k int, see
 	want, wantIdeal := make([]float64, m), make([]float64, m)
 	e.MixtureInto(want, st, noise.MixtureOpts{Trajectories: k, Measure: measure, IdealOut: wantIdeal}, testutil.NewRand(seed))
 
-	fs := sim.GetBlocks(n, e.KeyMask())
-	defer sim.PutBlocks(fs)
-	for _, a := range terms {
-		fs.Set(a.idx, a.v)
+	initial := make([]sim.Amp, len(terms))
+	for i, a := range terms {
+		initial[i] = sim.Amp{Index: a.idx, Value: a.v}
 	}
-	noise.NormalizeBlocks(fs)
-	got, gotIdeal := make([]float64, m), make([]float64, m)
-	e.MixtureFactoredInto(got, fs, noise.MixtureOpts{Trajectories: k, Measure: measure, IdealOut: gotIdeal}, testutil.NewRand(seed))
-
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Errorf("P(%d) = %x, dense oracle %x (Δ=%g)", i, math.Float64bits(got[i]), math.Float64bits(want[i]), got[i]-want[i])
-		}
-		if math.Float64bits(gotIdeal[i]) != math.Float64bits(wantIdeal[i]) {
-			return fmt.Errorf("ideal P(%d) = %x, dense oracle %x", i, math.Float64bits(gotIdeal[i]), math.Float64bits(wantIdeal[i]))
+	runs := []struct {
+		name string
+		run  func(out []float64, opts noise.MixtureOpts)
+	}{
+		{"Mixture", func(out []float64, opts noise.MixtureOpts) {
+			e.Mixture(out, initial, opts, testutil.NewRand(seed))
+		}},
+		{"one block", func(out []float64, opts noise.MixtureOpts) {
+			e.MixtureLayout(out, initial, opts, testutil.NewRand(seed), false)
+		}},
+	}
+	if e.KeyMask() != 0 {
+		runs = append(runs, struct {
+			name string
+			run  func(out []float64, opts noise.MixtureOpts)
+		}{"keyed blocks", func(out []float64, opts noise.MixtureOpts) {
+			e.MixtureLayout(out, initial, opts, testutil.NewRand(seed), true)
+		}})
+	}
+	for _, r := range runs {
+		got, gotIdeal := make([]float64, m), make([]float64, m)
+		r.run(got, noise.MixtureOpts{Trajectories: k, Measure: measure, IdealOut: gotIdeal})
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("%s: P(%d) = %x, dense oracle %x (Δ=%g)", r.name, i, math.Float64bits(got[i]), math.Float64bits(want[i]), got[i]-want[i])
+			}
+			if math.Float64bits(gotIdeal[i]) != math.Float64bits(wantIdeal[i]) {
+				return fmt.Errorf("%s: ideal P(%d) = %x, dense oracle %x", r.name, i, math.Float64bits(gotIdeal[i]), math.Float64bits(wantIdeal[i]))
+			}
 		}
 	}
 	return nil
@@ -155,11 +178,11 @@ func productTerms(xs []int, xOff int, ys []int, yOff int) []amp {
 	return terms
 }
 
-// TestFactoredMixtureBitIdentical is the factored engine's oracle test:
-// on the paper's adders, subtractor, multipliers and routed adders,
-// from noiseless through hot noise and down to one trajectory, its
-// output and ideal distributions must be Float64bits-identical to the
-// dense engine's.
+// TestFactoredMixtureBitIdentical is Mixture's oracle test: on the
+// paper's adders, subtractor, multipliers and routed adders, from
+// noiseless through hot noise and down to one trajectory, its output
+// and ideal distributions, on keyed blocks and on one block, must be
+// Float64bits-identical to the dense engine's.
 func TestFactoredMixtureBitIdentical(t *testing.T) {
 	full := arith.Config{Depth: qft.Full, AddCut: arith.FullAdd}
 	models := []struct {
@@ -177,6 +200,7 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 		res     *transpile.Result
 		terms   []amp
 		measure []int
+		keyless bool // no keyed plan: one block only
 	}
 	qfa := transpile.Transpile(arith.NewQFA(7, 8, full))
 	qfs := transpile.Transpile(arith.NewQFS(7, 8, full))
@@ -185,18 +209,31 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 	routed, routedOut, routedLayout := routedQFA(3, 3, qft.Full, layout.Linear(6), []int{2, 3, 5, 1, 0, 4})
 	fig3Linear, linearOut, linearLayout := routedQFA(7, 8, 3, layout.Linear(15), nil)
 	fig3Grid, gridOut, gridLayout := routedQFA(7, 8, 3, layout.Grid(3, 5), nil)
+	// A bare QFT routed onto a line: no key wire, so its routing swaps
+	// relabel the wires of the one block.
+	qft6 := circuit.New(6)
+	qft.Gates(qft6, arith.Range(0, 6), qft.Full)
+	qftRouted := layout.Route(transpile.Transpile(qft6).Circuit(), layout.Linear(6), []int{3, 0, 5, 1, 4, 2})
+	qftOut := make([]int, 6)
+	for i := range qftOut {
+		qftOut[i] = qftRouted.FinalLayout[i]
+	}
+	if !slices.ContainsFunc(qftRouted.Circuit.Ops, func(op circuit.Op) bool { return op.Kind == gate.SWAP }) {
+		t.Fatal("routed QFT has no SWAP")
+	}
 	cases := []tc{
-		{"qfa-1:1", qfa, productTerms([]int{93}, 0, []int{41}, 7), arith.Range(7, 8)},
-		{"qfa-1:2", qfa, productTerms([]int{5}, 0, []int{200, 17}, 7), arith.Range(7, 8)},
-		{"qfa-2:2", qfa, productTerms([]int{19, 100}, 0, []int{7, 200}, 7), arith.Range(7, 8)},
-		{"qfs-2:2", qfs, productTerms([]int{19, 100}, 0, []int{7, 200}, 7), arith.Range(7, 8)},
+		{"qfa-1:1", qfa, productTerms([]int{93}, 0, []int{41}, 7), arith.Range(7, 8), false},
+		{"qfa-1:2", qfa, productTerms([]int{5}, 0, []int{200, 17}, 7), arith.Range(7, 8), false},
+		{"qfa-2:2", qfa, productTerms([]int{19, 100}, 0, []int{7, 200}, 7), arith.Range(7, 8), false},
+		{"qfs-2:2", qfs, productTerms([]int{19, 100}, 0, []int{7, 200}, 7), arith.Range(7, 8), false},
 		// QFM(4,4): z on 0..7 starts at zero; y on 8..11, x on 12..15.
-		{"qfm-2:2", qfm, productTerms([]int{3, 13}, 12, []int{6, 11}, 8), arith.Range(0, 8)},
-		{"signed-qfm-2:2", sqfm, productTerms([]int{9, 7}, 12, []int{14, 2}, 8), arith.Range(0, 8)},
+		{"qfm-2:2", qfm, productTerms([]int{3, 13}, 12, []int{6, 11}, 8), arith.Range(0, 8), false},
+		{"signed-qfm-2:2", sqfm, productTerms([]int{9, 7}, 12, []int{14, 2}, 8), arith.Range(0, 8), false},
 		// Routed adders: the addend wires stay keys through every swap.
-		{"routed-qfa-2:2", routed, embed(productTerms([]int{1, 6}, 0, []int{3, 4}, 3), routedLayout), routedOut},
-		{"routed-fig3-linear15-2:2", fig3Linear, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), linearLayout), linearOut},
-		{"routed-fig3-grid3x5-2:2", fig3Grid, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), gridLayout), gridOut},
+		{"routed-qfa-2:2", routed, embed(productTerms([]int{1, 6}, 0, []int{3, 4}, 3), routedLayout), routedOut, false},
+		{"routed-fig3-linear15-2:2", fig3Linear, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), linearLayout), linearOut, false},
+		{name: "routed-qft-linear6", res: transpile.Transpile(qftRouted.Circuit), terms: embed(productTerms([]int{5, 12, 33}, 0, []int{0}, 6), qftRouted.InitialLayout), measure: qftOut, keyless: true},
+		{"routed-fig3-grid3x5-2:2", fig3Grid, embed(productTerms([]int{19, 100}, 0, []int{7, 200}, 7), gridLayout), gridOut, false},
 	}
 	if testing.Short() {
 		cases = cases[:len(cases)-1] // one routed fig3 adder is enough under -race
@@ -206,8 +243,8 @@ func TestFactoredMixtureBitIdentical(t *testing.T) {
 			c, md := c, md
 			t.Run(c.name+"/"+md.name, func(t *testing.T) {
 				e := noise.NewEngine(c.res, md.model)
-				if e.KeyMask() == 0 {
-					t.Fatal("circuit has no key qubits")
+				if (e.KeyMask() == 0) != c.keyless {
+					t.Fatalf("key mask %#x, want a keyed plan: %v", e.KeyMask(), !c.keyless)
 				}
 				if err := runFactoredAndDense(e, c.terms, c.measure, md.k, 2024); err != nil {
 					t.Fatal(err)
@@ -333,9 +370,11 @@ func randomFactorableCircuit(seed uint64, n, nd, ops int) *circuit.Circuit {
 	return c
 }
 
-// FuzzFactoredMixture compares the factored engine against the dense
-// oracle on random ≤ 8-qubit circuits with random sparse inputs, noise
-// levels and trajectory counts. The seed corpus runs under go test.
+// FuzzFactoredMixture compares Mixture, on both block layouts, against
+// the dense oracle on random ≤ 8-qubit circuits with random sparse
+// inputs, noise levels and trajectory counts; a circuit without a
+// keyed plan runs on one block only. The seed corpus runs under go
+// test.
 func FuzzFactoredMixture(f *testing.F) {
 	for _, s := range []struct {
 		seed        uint64
@@ -353,6 +392,17 @@ func FuzzFactoredMixture(f *testing.F) {
 		// 8 qubits, key mask 0xfc: six input blocks stored with
 		// descending keys, read out through the key-order walk.
 		{324, 6, 1, 2, 10, 40, 5},
+		// One-block layout. 8 qubits, no key wire: no keyed plan.
+		{1118, 6, 5, 1, 6, 30, 2},
+		// 8 qubits, every wire a key (RZ/CP/CX/SWAP/Paulis only): no
+		// dense wire, so no keyed plan either.
+		{1001, 6, 3, 1, 5, 7, 5},
+		// 8 qubits, key mask 0xf0, six input key values: 6 × 2^4
+		// amplitudes exceed a quarter of 2^8, so Mixture takes one block.
+		{1000, 6, 3, 1, 7, 30, 5},
+		// 8 qubits, no key wire, four SWAPs: routing swaps relabel the
+		// wires of the one block.
+		{1004, 6, 0, 2, 9, 40, 5},
 	} {
 		f.Add(s.seed, s.n, s.nd, s.hot, s.k, s.ops, s.nIn)
 	}
@@ -363,10 +413,7 @@ func FuzzFactoredMixture(f *testing.F) {
 		c := randomFactorableCircuit(seed, nq, ndq, 1+int(ops)%80)
 		res := transpile.Transpile(c)
 		e := noise.NewEngine(res, models[int(hot)%len(models)])
-		mask := e.KeyMask()
-		if mask == 0 {
-			t.Skip("no key qubits to factor")
-		}
+		mask := e.KeyMask() // 0: only the one-block layout applies
 		rng := testutil.NewRand(seed ^ 0x5eed)
 		var terms []amp
 		for len(terms) < min(1+int(nIn)%6, 1<<uint(nq)) {
@@ -387,9 +434,31 @@ func FuzzFactoredMixture(f *testing.F) {
 	})
 }
 
+// layoutRuns returns how many Mixture runs have taken each block
+// layout so far.
+func layoutRuns() (keyed, oneBlock uint64) {
+	count := func(state string) uint64 {
+		return telemetry.Default().Counter("qfarith_mixture_runs_total", telemetry.L("state", state)).Value()
+	}
+	return count("factored"), count("dense")
+}
+
+// quietPools readies the scratch pools for an allocation count, until
+// the caller's test ends: it drops the pooled objects other tests left
+// behind, whose buffers a new circuit would grow, and pins the test to
+// one P, where a sync.Pool hands back what was put into it (on several,
+// an object parked in another P's private slot is out of reach).
+func quietPools(t *testing.T) {
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	runtime.GC()
+	runtime.GC()
+}
+
 // TestFactoredMixtureSteadyStateZeroAlloc extends the scratch-reuse
-// contract to the factored path: with warm pools, loading the input
-// blocks and running the mixture allocate nothing.
+// contract to the keyed layout: with warm pools, a Mixture call on an
+// input spanning two key values — loading its blocks and running the
+// mixture — allocates nothing.
 func TestFactoredMixtureSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc contract is checked in the non-race run")
@@ -399,18 +468,19 @@ func TestFactoredMixtureSteadyStateZeroAlloc(t *testing.T) {
 	measure := arith.Range(3, 4)
 	out := make([]float64, 16)
 	rng := testutil.NewRand(7)
+	initial := []sim.Amp{{Index: 1 | 5<<3, Value: 0.6}, {Index: 6 | 2<<3, Value: 0.8i}}
 	run := func(k int) {
-		fs := sim.GetBlocks(7, e.KeyMask())
-		fs.Set(1|5<<3, 0.6)
-		fs.Set(6|2<<3, 0.8i)
-		noise.NormalizeBlocks(fs)
-		e.MixtureFactoredInto(out, fs, noise.MixtureOpts{Trajectories: k, Measure: measure}, rng)
-		sim.PutBlocks(fs)
+		e.Mixture(out, initial, noise.MixtureOpts{Trajectories: k, Measure: measure}, rng)
 	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	quietPools(t)
+	keyed, oneBlock := layoutRuns()
 	run(96)
+	if k, o := layoutRuns(); k != keyed+1 || o != oneBlock {
+		t.Fatalf("two-key input took %d keyed and %d one-block runs, want 1 keyed", k-keyed, o-oneBlock)
+	}
 	if allocs := testing.AllocsPerRun(5, func() { run(16) }); allocs != 0 {
-		t.Errorf("steady-state factored mixture allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("steady-state keyed mixture allocates %.1f objects per call, want 0", allocs)
 	}
 }

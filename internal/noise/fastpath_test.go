@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"qfarith/internal/arith"
@@ -75,11 +76,11 @@ func TestFusedProgramMatchesOpByOp(t *testing.T) {
 }
 
 // TestCheckpointedMixtureBitIdentical pins the determinism contract of
-// the checkpointed MixtureInto: grouping trajectories by first-error
-// span and branching off a shared prefix must reproduce the naive
-// loop — sample, simulate from scratch, accumulate, K times — down to
-// the last bit, because fixed-seed sweep outputs are part of the
-// repo's reproducibility guarantees.
+// the checkpointed Mixture: grouping trajectories by first-error span
+// and branching off a shared prefix must reproduce the naive loop —
+// sample, simulate from scratch on the dense oracle, accumulate, K
+// times — down to the last bit, because fixed-seed sweep outputs are
+// part of the repo's reproducibility guarantees.
 func TestCheckpointedMixtureBitIdentical(t *testing.T) {
 	c := arith.NewQFA(3, 4, arith.Config{Depth: 3, AddCut: arith.FullAdd})
 	e := noise.NewEngine(transpile.Transpile(c), noise.PaperModel(0.004, 0.01))
@@ -90,16 +91,15 @@ func TestCheckpointedMixtureBitIdentical(t *testing.T) {
 		initial[(trial*5)%8|(trial*11)%16<<3] = 1
 
 		// Checkpointed engine path.
-		st := sim.NewState(7)
 		got := make([]float64, 16)
-		st.SetAmplitudes(initial)
-		e.MixtureInto(got, st, noise.MixtureOpts{
+		e.Mixture(got, []sim.Amp{{Index: (trial*5)%8 | (trial*11)%16<<3, Value: 1}}, noise.MixtureOpts{
 			Trajectories: k, Measure: measure,
 		}, testutil.NewRand(uint64(42+trial)))
 
 		// Naive reference: identical RNG seed, one full simulation per
 		// trajectory, accumulation in sample order after the ideal stratum.
 		rng := testutil.NewRand(uint64(42 + trial))
+		st := sim.NewState(7)
 		want := make([]float64, 16)
 		ideal := make([]float64, 16)
 		st.SetAmplitudes(initial)
@@ -126,10 +126,11 @@ func TestCheckpointedMixtureBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMixtureSteadyStateZeroAlloc enforces the scratch-reuse contract:
-// once the pools are warm, a MixtureInto call allocates nothing. GC is
-// disabled for the measurement because a collection mid-run legitimately
-// empties the sync.Pools and forces refills.
+// TestMixtureSteadyStateZeroAlloc enforces the scratch-reuse contract
+// on the one-block layout: once the pools are warm, a Mixture call on an
+// input spanning every key value allocates nothing. GC is disabled for
+// the measurement because a collection mid-run legitimately empties the
+// sync.Pools and forces refills.
 func TestMixtureSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc contract is checked in the non-race run")
@@ -137,23 +138,73 @@ func TestMixtureSteadyStateZeroAlloc(t *testing.T) {
 	c := arith.NewQFA(3, 4, arith.Config{Depth: 3, AddCut: arith.FullAdd})
 	e := noise.NewEngine(transpile.Transpile(c), noise.PaperModel(0.004, 0.01))
 	measure := arith.Range(3, 4)
-	st := sim.NewState(7)
-	initial := make([]complex128, st.Dim())
-	initial[1] = 1
+	// All 8 addend values: 8 keyed blocks of 2^4 would be the whole
+	// 2^7 state, so the run takes one block.
+	initial := make([]sim.Amp, 8)
+	for x := range initial {
+		initial[x] = sim.Amp{Index: x | 9<<3, Value: complex(1, float64(x))}
+	}
 	out := make([]float64, 16)
 	rng := testutil.NewRand(7)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	quietPools(t)
 	// Warm every pool with a larger trajectory count than the measured
 	// runs use, so event/marginal buffers can only shrink afterwards.
-	st.SetAmplitudes(initial)
-	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng)
+	keyed, oneBlock := layoutRuns()
+	e.Mixture(out, initial, noise.MixtureOpts{Trajectories: 96, Measure: measure}, rng)
+	if k, o := layoutRuns(); k != keyed || o != oneBlock+1 {
+		t.Fatalf("eight-key input took %d keyed and %d one-block runs, want 1 one-block", k-keyed, o-oneBlock)
+	}
 
 	allocs := testing.AllocsPerRun(5, func() {
-		st.SetAmplitudes(initial)
-		e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng)
+		e.Mixture(out, initial, noise.MixtureOpts{Trajectories: 16, Measure: measure}, rng)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state MixtureInto allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("steady-state one-block Mixture allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestMixtureConcurrentLayouts shares one engine between goroutines
+// whose inputs take different layouts, so the keyed and one-block
+// plans are built and read concurrently on first use: every run must
+// give the bits of the same run made alone.
+func TestMixtureConcurrentLayouts(t *testing.T) {
+	res := transpile.Transpile(arith.NewQFA(3, 4, arith.Config{Depth: 3, AddCut: arith.FullAdd}))
+	model := noise.PaperModel(0.004, 0.01)
+	measure := arith.Range(3, 4)
+	narrow := []sim.Amp{{Index: 1 | 5<<3, Value: 0.6}, {Index: 6 | 2<<3, Value: 0.8i}}
+	wide := make([]sim.Amp, 8)
+	for x := range wide {
+		wide[x] = sim.Amp{Index: x | 9<<3, Value: complex(1, float64(x))}
+	}
+	inputs := [][]sim.Amp{narrow, wide}
+	run := func(e *noise.Engine, i int) []float64 {
+		out := make([]float64, 16)
+		e.Mixture(out, inputs[i%2], noise.MixtureOpts{Trajectories: 8, Measure: measure}, testutil.NewRand(uint64(i)))
+		return out
+	}
+	const n = 8
+	want := make([][]float64, n)
+	for i := range want {
+		want[i] = run(noise.NewEngine(res, model), i)
+	}
+	shared := noise.NewEngine(res, model)
+	got := make([][]float64, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(shared, i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		for v := range want[i] {
+			if math.Float64bits(got[i][v]) != math.Float64bits(want[i][v]) {
+				t.Fatalf("run %d: P(%d) = %x concurrently, %x alone", i, v, math.Float64bits(got[i][v]), math.Float64bits(want[i][v]))
+			}
+		}
 	}
 }

@@ -97,9 +97,12 @@ type Engine struct {
 	// to locate the first span a trajectory's events touch.
 	spanOf []int
 
-	// fact is the factored-execution plan, built on first use (plan).
-	factOnce sync.Once
-	fact     *factPlan
+	// The block plans, each built on first use: over the key wires
+	// (keyedPlan), and one block over every wire (flatPlan).
+	keyedOnce sync.Once
+	keyed     *factPlan
+	flatOnce  sync.Once
+	flat      *factPlan
 }
 
 // NewEngine prepares trajectory sampling for res under model.
@@ -168,7 +171,7 @@ func (e *Engine) SampleConditional(rng *rand.Rand) []Event {
 
 // sampleConditionalAppend draws one conditional trajectory with the
 // exact RNG consumption of SampleConditional, appending its events to
-// dst. The engine must not be noiseless. Used by MixtureInto to gather
+// dst. The engine must not be noiseless. Used by Mixture to gather
 // all trajectories into one reusable buffer before simulating.
 func (e *Engine) sampleConditionalAppend(dst []Event, rng *rand.Rand) []Event {
 	u := rng.Float64()

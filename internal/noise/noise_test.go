@@ -34,14 +34,10 @@ func TestNoiselessEngineIsExact(t *testing.T) {
 
 func TestMixtureNoiselessMatchesIdeal(t *testing.T) {
 	e := qfaEngine(qft.Full, noise.Noiseless)
-	st := sim.NewState(7)
-	initial := make([]complex128, st.Dim())
 	x, y := 5, 9
-	initial[x|y<<3] = 1
 	out := make([]float64, 16)
 	rng := testutil.NewRand(1)
-	st.SetAmplitudes(initial)
-	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 4, Measure: arith.Range(3, 4)}, rng)
+	e.Mixture(out, []sim.Amp{{Index: x | y<<3, Value: 1}}, noise.MixtureOpts{Trajectories: 4, Measure: arith.Range(3, 4)}, rng)
 	want := (x + y) & 15
 	for v, p := range out {
 		expect := 0.0
@@ -125,8 +121,8 @@ func TestEventRateMatchesChannel(t *testing.T) {
 	}
 }
 
-// TestTrajectoryEquivalentToNativeRun verifies that the span fast-path
-// machinery produces exactly the same state (up to global phase) as a
+// TestTrajectoryEquivalentToNativeRun verifies that the dense oracle's
+// span fast-path machinery produces exactly the same state (up to global phase) as a
 // plain native-gate simulation with the same Pauli insertions.
 func TestTrajectoryEquivalentToNativeRun(t *testing.T) {
 	c := arith.NewQFA(2, 3, arith.Config{Depth: 2, AddCut: arith.FullAdd})
@@ -187,13 +183,9 @@ func complexConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
 func TestMixtureSumsToOne(t *testing.T) {
 	e := qfaEngine(2, noise.PaperModel(0.01, 0.02))
-	st := sim.NewState(7)
-	initial := make([]complex128, st.Dim())
-	initial[3|7<<3] = 1
 	out := make([]float64, 16)
 	rng := testutil.NewRand(5)
-	st.SetAmplitudes(initial)
-	e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 8, Measure: arith.Range(3, 4)}, rng)
+	e.Mixture(out, []sim.Amp{{Index: 3 | 7<<3, Value: 1}}, noise.MixtureOpts{Trajectories: 8, Measure: arith.Range(3, 4)}, rng)
 	var s float64
 	for _, p := range out {
 		s += p
@@ -211,13 +203,9 @@ func TestMixtureDegradesWithNoise(t *testing.T) {
 	prev := 1.1
 	for _, p2 := range []float64{0, 0.01, 0.05, 0.2} {
 		e := qfaEngine(qft.Full, noise.PaperModel(0, p2))
-		st := sim.NewState(7)
-		initial := make([]complex128, st.Dim())
-		initial[x|y<<3] = 1
 		out := make([]float64, 16)
 		rng := testutil.NewRand(11)
-		st.SetAmplitudes(initial)
-		e.MixtureInto(out, st, noise.MixtureOpts{Trajectories: 48, Measure: arith.Range(3, 4)}, rng)
+		e.Mixture(out, []sim.Amp{{Index: x | y<<3, Value: 1}}, noise.MixtureOpts{Trajectories: 48, Measure: arith.Range(3, 4)}, rng)
 		if out[want] >= prev {
 			t.Errorf("P(correct) did not fall with noise: %g at λ2=%g (prev %g)", out[want], p2, prev)
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // MaxDenseQubits bounds the register size ApplyKQ accepts; 3 qubits
 // (8x8 matrices) covers every native span the transpiler emits.
@@ -8,10 +11,8 @@ const MaxDenseQubits = 3
 
 const maxDenseDim = 1 << MaxDenseQubits
 
-// kqPlan is the precomputed application plan for one ApplyKQ call. The
-// matrix and qubit list are copied in so the worker loops reference no
-// caller memory: in the serial path the plan lives on the caller's
-// stack and the whole apply is allocation-free.
+// kqPlan is the precomputed application plan for one ApplyKQ call. It
+// lives on the caller's stack, so the whole apply is allocation-free.
 type kqPlan struct {
 	dim  int
 	mask int
@@ -73,13 +74,14 @@ func buildKQPlan(qubits []int, m []complex128) kqPlan {
 	return p
 }
 
-// applyKQRange runs the plan over base-index groups [glo, ghi).
-func (s *State) applyKQRange(p *kqPlan, glo, ghi int) {
+// applyKQPlan runs the plan over every base-index group.
+func (s *State) applyKQPlan(p *kqPlan) {
 	dim := p.dim
-	base := depositBits(glo, p.mask)
+	groups := len(s.amps) >> uint(bits.OnesCount(uint(p.mask)))
+	base := 0
 	if p.mono {
 		var x [maxDenseDim]complex128
-		for gi := glo; gi < ghi; gi++ {
+		for g := 0; g < groups; g++ {
 			for j := 0; j < dim; j++ {
 				x[j] = s.amps[base|p.pat[j]]
 			}
@@ -93,7 +95,7 @@ func (s *State) applyKQRange(p *kqPlan, glo, ghi int) {
 		return
 	}
 	var x, y [maxDenseDim]complex128
-	for gi := glo; gi < ghi; gi++ {
+	for g := 0; g < groups; g++ {
 		for j := 0; j < dim; j++ {
 			x[j] = s.amps[base|p.pat[j]]
 		}
@@ -122,32 +124,8 @@ func (s *State) applyKQRange(p *kqPlan, glo, ghi int) {
 // qubits: 2^k multiplies per amplitude in a single memory pass instead
 // of one strided pass per gate. The trajectory engine uses it to apply
 // an event-containing native span (plus its Pauli insertions) as one
-// precomposed matrix. With a single worker the call is allocation-free.
+// precomposed matrix. The call is allocation-free.
 func (s *State) ApplyKQ(qubits []int, m []complex128) {
-	groups := len(s.amps) >> uint(len(qubits))
-	if s.workers <= 1 || len(s.amps) < parallelThreshold {
-		plan := buildKQPlan(qubits, m)
-		s.applyKQRange(&plan, 0, groups)
-		return
-	}
-	// The parallel closure makes this plan escape; the serial path above
-	// keeps its own copy on the stack.
 	plan := buildKQPlan(qubits, m)
-	s.parallelGroups(groups, func(glo, ghi int) {
-		s.applyKQRange(&plan, glo, ghi)
-	})
-}
-
-// depositBits spreads the bits of g, low to high, into the bit
-// positions NOT set in mask — the g'th basis index whose mask bits are
-// all zero.
-func depositBits(g, mask int) int {
-	out := 0
-	for b := 0; g != 0; b++ {
-		if mask>>uint(b)&1 == 0 {
-			out |= (g & 1) << uint(b)
-			g >>= 1
-		}
-	}
-	return out
+	s.applyKQPlan(&plan)
 }

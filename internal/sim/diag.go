@@ -17,17 +17,10 @@ func (s *State) ApplyDiagTerms(terms []circuit.DiagTerm) {
 	if len(terms) == 0 {
 		return
 	}
-	if s.workers > 1 && len(s.amps) >= parallelThreshold {
-		s.parallelGroups(len(s.amps), func(lo, hi int) {
-			active := make([]circuit.DiagTerm, 0, len(terms))
-			applyDiagChunk(s.amps[lo:hi], uint64(lo), terms, active)
-		})
-		return
-	}
 	if cap(s.diagActive) < len(terms) {
 		s.diagActive = make([]circuit.DiagTerm, 0, len(terms))
 	}
-	applyDiagChunk(s.amps, 0, terms, s.diagActive[:0])
+	applyDiagBlocked(s.amps, terms, s.diagActive[:0])
 }
 
 // diagBlockBits sets the aligned block size (2^bits amplitudes) the
@@ -37,12 +30,10 @@ func (s *State) ApplyDiagTerms(terms []circuit.DiagTerm) {
 // of the run is applied to it.
 const diagBlockBits = 8
 
-// applyDiagChunk applies terms to the amplitude chunk starting at global
-// basis index base. Chunks are disjoint, so the parallel form splits the
-// state without changing any per-amplitude arithmetic. active is
-// caller-owned scratch with capacity ≥ len(terms).
+// applyDiagBlocked applies terms to amps. active is caller-owned
+// scratch with capacity ≥ len(terms).
 //
-// The chunk walks 2^diagBlockBits-aligned blocks of the global index
+// The kernel walks 2^diagBlockBits-aligned blocks of the global index
 // space. Per block the active term list is rebuilt with the high index
 // bits already matched and Sel/Val masked down to in-block bits: blocks
 // matching no terms are skipped without touching their amplitudes, and
@@ -53,10 +44,10 @@ const diagBlockBits = 8
 // Amplitudes are independent, so applying term i to its whole in-block
 // subspace before term i+1 preserves the per-amplitude op order that
 // bit-exactness requires.
-func applyDiagChunk(amps []complex128, base uint64, terms []circuit.DiagTerm, active []circuit.DiagTerm) {
+func applyDiagBlocked(amps []complex128, terms []circuit.DiagTerm, active []circuit.DiagTerm) {
 	const lowMask = 1<<diagBlockBits - 1
 	for blo := 0; blo < len(amps); {
-		idx0 := base + uint64(blo)
+		idx0 := uint64(blo)
 		bhi := blo + int(lowMask+1-idx0&lowMask) // end of the aligned block
 		if bhi > len(amps) {
 			bhi = len(amps)
@@ -86,10 +77,10 @@ func applyDiagChunk(amps []complex128, base uint64, terms []circuit.DiagTerm, ac
 				}
 			}
 		default:
-			// Partial block (sub-block states or unaligned parallel chunk
-			// edges): per-amplitude conditional fallback, same arithmetic.
+			// Partial block (states below 2^diagBlockBits amplitudes):
+			// per-amplitude conditional fallback, same arithmetic.
 			for i := blo; i < bhi; i++ {
-				li := (base + uint64(i)) & lowMask
+				li := uint64(i) & lowMask
 				a := amps[i]
 				for _, t := range active {
 					if li&t.Sel == t.Val {

@@ -22,11 +22,9 @@ var statePools [MaxQubits + 1]sync.Pool
 
 // GetScratchState returns an n-qubit state from the scratch pool. Its
 // amplitude contents are undefined — callers must initialise it with
-// SetAmplitudes, SetBasis, or CopyFrom before use. The worker setting is
-// reset to 1; call SetWorkers to re-enable parallel kernels.
+// SetAmplitudes, SetBasis, or CopyFrom before use.
 func GetScratchState(n int) *State {
 	if s, ok := statePools[n].Get().(*State); ok {
-		s.workers = 1
 		scratchReuse.Inc()
 		return s
 	}

@@ -27,13 +27,19 @@ const MaxQubits = 26
 
 // State is a pure quantum state over n qubits.
 type State struct {
-	n       int
-	amps    []complex128
-	workers int // kernel goroutine count; see SetWorkers
+	n    int
+	amps []complex128
 
 	// diagActive is reusable scratch for ApplyDiagTerms' per-block term
 	// filtering, kept on the state so hot loops don't allocate.
 	diagActive []circuit.DiagTerm
+}
+
+// Amp is one term of a sparse input state: amplitude Value on the
+// computational basis state Index.
+type Amp struct {
+	Index int
+	Value complex128
 }
 
 // NewState returns the n-qubit all-zeros state |0...0>.
@@ -55,9 +61,9 @@ func (s *State) Dim() int { return len(s.amps) }
 // Amps exposes the amplitude slice. Callers must not resize it.
 func (s *State) Amps() []complex128 { return s.amps }
 
-// Clone returns a deep copy of the state (worker setting included).
+// Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, amps: make([]complex128, len(s.amps)), workers: s.workers}
+	c := &State{n: s.n, amps: make([]complex128, len(s.amps))}
 	copy(c.amps, s.amps)
 	return c
 }
@@ -138,10 +144,6 @@ func expandIndex(k int, positions []int, values []int) int {
 // This is the P (phase) gate kernel.
 func (s *State) Phase(q int, theta float64) {
 	p := cmplx.Exp(complex(0, theta))
-	if s.workers > 1 && len(s.amps) >= parallelThreshold {
-		s.phaseP(q, p)
-		return
-	}
 	step := 1 << uint(q)
 	for g := step; g < len(s.amps); g += 2 * step {
 		for i := g; i < g+step; i++ {
@@ -166,10 +168,6 @@ func (s *State) RZ(q int, theta float64) {
 // CPhase multiplies amplitudes with bits c and t both 1 by e^{i theta}.
 func (s *State) CPhase(c, t int, theta float64) {
 	p := cmplx.Exp(complex(0, theta))
-	if s.workers > 1 && len(s.amps) >= parallelThreshold {
-		s.cPhaseP(c, t, p)
-		return
-	}
 	lo, hi := c, t
 	if lo > hi {
 		lo, hi = hi, lo
@@ -209,10 +207,6 @@ func sort3(b *[3]int) {
 
 // Apply1Q applies an arbitrary 2x2 unitary (m00 m01; m10 m11) to qubit q.
 func (s *State) Apply1Q(q int, m00, m01, m10, m11 complex128) {
-	if s.workers > 1 && len(s.amps) >= parallelThreshold {
-		s.apply1QP(q, m00, m01, m10, m11)
-		return
-	}
 	step := 1 << uint(q)
 	for g := 0; g < len(s.amps); g += 2 * step {
 		for i := g; i < g+step; i++ {
@@ -249,10 +243,6 @@ func (s *State) ApplyCtrl1Q(controls []int, t int, m00, m01, m10, m11 complex128
 
 // CX applies a controlled-NOT with control c and target t.
 func (s *State) CX(c, t int) {
-	if s.workers > 1 && len(s.amps) >= parallelThreshold {
-		s.cxP(c, t)
-		return
-	}
 	lo, hi := c, t
 	if lo > hi {
 		lo, hi = hi, lo

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 
-	"qfarith/internal/arith"
 	"qfarith/internal/backend"
 	"qfarith/internal/experiment"
 	"qfarith/internal/metrics"
@@ -73,9 +72,7 @@ type Options struct {
 	// Seed makes the run reproducible (default 1).
 	Seed uint64
 	// Backend selects an execution backend from internal/backend's
-	// registry ("trajectory", "density"). Empty keeps the legacy inline
-	// trajectory path, which predates the backend layer and whose RNG
-	// stream existing callers may depend on.
+	// registry ("trajectory", "density"); empty means "trajectory".
 	Backend string
 }
 
@@ -111,9 +108,7 @@ func WithHardwareRZ() Option {
 // "trajectory" for the stratified Pauli-trajectory mixture engine,
 // "density" for exact density-matrix channel evolution (registers up to
 // 10 qubits). Panics on an unknown name, like the other construction
-// errors of this facade. Note the trajectory backend draws its shot
-// samples from a stream independent of the mixture RNG, so results
-// differ bit-wise (not statistically) from the default inline path.
+// errors of this facade. Without it the facade runs "trajectory".
 func WithBackend(name string) Option { return func(o *Options) { o.Backend = name } }
 
 func buildOptions(opts []Option) Options {
@@ -190,9 +185,8 @@ func Sub(x, y QInt, opts ...Option) Result {
 		panic(fmt.Sprintf("qfarith: subtrahend width %d exceeds register width %d", x.Width, y.Width))
 	}
 	o := buildOptions(opts)
-	geo := experiment.AddGeometry(x.Width, y.Width)
-	c := newSubCircuit(geo, o.Depth)
-	res := transpile.Transpile(c)
+	geo := experiment.SubGeometry(x.Width, y.Width)
+	res := geo.BuildCircuit(o.Depth)
 	initial := qint.Product(x, y)
 	mask := 1<<uint(y.Width) - 1
 	expected := make(map[int]bool)
@@ -216,53 +210,30 @@ func Mul(x, y QInt, opts ...Option) Result {
 	return runResult(o, geo, res, initial, expected)
 }
 
-func newSubCircuit(geo experiment.Geometry, depth int) *circuitAlias {
-	c := circuitNew(geo.TotalQubits)
-	arith.SubGates(c, geo.XReg, geo.YReg, arith.Config{Depth: depth, AddCut: arith.FullAdd})
-	return c
-}
-
 func runResult(o Options, geo experiment.Geometry, res *transpile.Result, initial []complex128, expected map[int]bool) Result {
-	var dist []float64
-	var sampler *sim.Sampler
-	if o.Backend != "" {
-		b, err := backend.New(o.Backend)
-		if err != nil {
-			panic("qfarith: " + err.Error())
-		}
-		var terms []backend.Amp
-		for i, a := range initial {
-			if a != 0 {
-				terms = append(terms, backend.Amp{Index: i, Value: a})
-			}
-		}
-		d, _, err := b.Run(context.Background(), backend.PointSpec{
-			Circuit:      res,
-			Model:        o.model(),
-			Initial:      terms,
-			Measure:      geo.OutReg,
-			Trajectories: o.Trajectories,
-			Seed1:        o.Seed,
-			Seed2:        o.Seed ^ 0x6a09e667f3bcc909,
-		})
-		if err != nil {
-			panic("qfarith: " + err.Error())
-		}
-		dist = d
-		sampler = sim.NewSampler(o.Seed^0x9e3779b97f4a7c15, o.Seed)
-	} else {
-		// Legacy inline path: the mixture RNG and the shot sampler share
-		// one stream; kept verbatim so seeded results stay stable.
-		engine := noise.NewEngine(res, o.model())
-		st := sim.NewState(geo.TotalQubits)
-		dist = make([]float64, 1<<uint(geo.OutBits))
-		sampler = sim.NewSampler(o.Seed, o.Seed^0x6a09e667f3bcc909)
-		st.SetAmplitudes(initial)
-		engine.MixtureInto(dist, st, noise.MixtureOpts{
-			Trajectories: o.Trajectories,
-			Measure:      geo.OutReg,
-		}, sampler.Rand())
+	b, err := backend.New(o.Backend)
+	if err != nil {
+		panic("qfarith: " + err.Error())
 	}
+	var terms []backend.Amp
+	for i, a := range initial {
+		if a != 0 {
+			terms = append(terms, backend.Amp{Index: i, Value: a})
+		}
+	}
+	dist, _, err := b.Run(context.Background(), backend.PointSpec{
+		Circuit:      res,
+		Model:        o.model(),
+		Initial:      terms,
+		Measure:      geo.OutReg,
+		Trajectories: o.Trajectories,
+		Seed1:        o.Seed,
+		Seed2:        o.Seed ^ 0x6a09e667f3bcc909,
+	})
+	if err != nil {
+		panic("qfarith: " + err.Error())
+	}
+	sampler := sim.NewSampler(o.Seed^0x9e3779b97f4a7c15, o.Seed)
 	counts := sampler.Counts(dist, o.Shots)
 	score := metrics.Score(counts, expected)
 	n1, n2 := res.CountByArity()
