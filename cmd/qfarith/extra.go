@@ -7,14 +7,14 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 
 	"qfarith/internal/arith"
-	"qfarith/internal/backend"
 	"qfarith/internal/circuit"
 	"qfarith/internal/compile"
 	"qfarith/internal/experiment"
-	"qfarith/internal/layout"
 	"qfarith/internal/noise"
 	"qfarith/internal/qasm"
 	"qfarith/internal/qft"
@@ -118,29 +118,19 @@ func runAblateRouting(args []string) {
 	instances := fs.Int("instances", 30, "instances per point")
 	traj := fs.Int("traj", 24, "trajectories per instance")
 	p2 := fs.Float64("p2", 0.005, "2q depolarizing rate")
-	backendName := fs.String("backend", backend.DefaultName,
-		"execution backend: "+strings.Join(backend.Names(), "|"))
-	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	rundir := fs.String("rundir", "", "durable run directory (per-topology checkpoints)")
-	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed topologies")
-	shardStr := fs.String("shard", "", "run shard i/N of the topologies (requires -rundir, merge with merge-runs)")
-	scorerList := fs.String("scorers", "margin", "success metrics, comma-separated; margin is always on")
-	var cf compileFlags
-	cf.register(fs)
-	var prof profiler
-	prof.register(fs)
-	var telem telemetryFlags
-	telem.register(fs)
+	var common sweepCommon
+	common.register(fs)
 	fs.Parse(args)
-	defer prof.start()()
-	shard, err := experiment.ParseShard(*shardStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	defer common.prof.start()()
+	ro := common.validate(0)
+	if slices.Contains(ro.pipeline.PassList(), compile.PassRoute) {
+		fmt.Fprintf(os.Stderr, "ablate-routing routes each topology itself; drop %q from -passes\n", compile.PassRoute)
 		exit(2)
 	}
+	scorers := common.extraScorers()
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := newRunnerOrExit(*backendName, *workers)
+	runner := common.runner()
 
 	geo := experiment.PaperAddGeometry()
 	cfg := experiment.PointConfig{
@@ -149,16 +139,15 @@ func runAblateRouting(args []string) {
 		OrderX: 1, OrderY: 2,
 		Instances: *instances, Shots: 2048, Trajectories: *traj,
 		RowSeed: 1001, PointSeed: 1002,
-		Pipeline: cf.config(),
-		Scorers:  parseScorers(*scorerList),
+		Pipeline: ro.pipeline,
+		Scorers:  scorers,
 	}
-	topos := []struct {
-		name string
-		cm   *layout.CouplingMap
-	}{
-		{"heavy-hex (Falcon 27)", layout.HeavyHexFalcon27()},
-		{"grid 3x5", layout.Grid(3, 5)},
-		{"linear chain", layout.Linear(15)},
+	// Each topology is the same point compiled through the user's
+	// pipeline with a route pass onto its coupling map.
+	topos := []struct{ name, coupling string }{
+		{"heavy-hex (Falcon 27)", "heavyhex27"},
+		{"grid 3x5", "grid:3x5"},
+		{"linear chain", "linear:15"},
 	}
 	keys := []string{"all-to-all"}
 	for _, tp := range topos {
@@ -166,25 +155,21 @@ func runAblateRouting(args []string) {
 	}
 	// Routed points are the slowest single points in the suite, so the
 	// topology loop checkpoints per topology when -rundir is given.
-	sfr := sweepFlags{rundir: *rundir, resume: *resume, backend: *backendName,
-		shard: shard, pipeline: cfg.Pipeline}
-	run := sfr.openRun("ablate-routing", cfg, keys)
+	run := ro.openRun("ablate-routing", cfg, keys)
 	snapDir := ""
 	if run != nil {
 		snapDir = run.Dir()
 	}
-	defer telem.start(snapDir)()
-	var ck experiment.CheckpointStore
-	if run != nil {
-		ck = run
-	}
+	defer common.telem.start(snapDir)()
+	ck := checkpoint(run)
 	fmt.Printf("E7 — qubit-connectivity ablation (QFA n=8, d=3, 1:2, λ1=0.2%%, λ2=%.2f%%)\n", *p2*100)
 	fmt.Printf("%-22s %10s %10s %12s %12s\n", "topology", "CX", "swaps", "w0", "success")
 
 	var base experiment.PointResult
 	haveBase := false
-	if shard.Owns("all-to-all") {
-		base, err = experiment.RunPointCkptCtx(ctx, runner, cfg, "all-to-all", ck)
+	if ro.shard.Owns("all-to-all") {
+		var err error
+		base, err = experiment.RunPoint(ctx, runner, cfg, experiment.PointOptions{Key: "all-to-all", Checkpoint: ck})
 		if err != nil {
 			exitSweepErr(err, run)
 		}
@@ -192,10 +177,12 @@ func runAblateRouting(args []string) {
 		fmt.Printf("%-22s %10d %10s %12.4f %11.1f%%\n", "all-to-all (paper)", base.Native2q, "-", base.NoErrorProb, base.Stats.SuccessRate)
 	}
 	for _, tp := range topos {
-		if !shard.Owns(tp.name) {
+		if !ro.shard.Owns(tp.name) {
 			continue
 		}
-		r, err := experiment.RunRoutedPointCkptCtx(ctx, runner, cfg, tp.cm, tp.name, ck)
+		rc := cfg
+		rc.Pipeline = routedPipeline(cfg.Pipeline, tp.coupling)
+		r, err := experiment.RunPoint(ctx, runner, rc, experiment.PointOptions{Key: tp.name, Checkpoint: ck})
 		if err != nil {
 			exitSweepErr(err, run)
 		}
@@ -207,10 +194,23 @@ func runAblateRouting(args []string) {
 		}
 		fmt.Printf("%-22s %10d %10s %12.4f %11.1f%%\n", tp.name, r.Native2q, swaps, r.NoErrorProb, r.Stats.SuccessRate)
 	}
-	if shard.Enabled() {
+	if ro.shard.Enabled() {
 		fmt.Printf("shard %s complete: merge with `qfarith merge-runs -out MERGED %s ...`, then resume the merged run for the full table\n",
-			shard, run.Dir())
+			ro.shard, run.Dir())
 	}
+}
+
+// routedPipeline is p with a route pass onto the named coupling map
+// inserted before the terminal fuse (appended when p has no fuse).
+func routedPipeline(p compile.Config, coupling string) compile.Config {
+	passes := p.PassList()
+	n := len(passes)
+	if passes[n-1] == compile.PassFuse {
+		n--
+	}
+	p.Passes = append(append(slices.Clip(passes[:n]), compile.PassRoute), passes[n:]...)
+	p.Coupling = coupling
+	return p
 }
 
 // runScaling is experiment E10, the paper's "extending the study to
@@ -224,44 +224,28 @@ func runScaling(args []string) {
 	shots := fs.Int("shots", 2048, "shots per instance")
 	widths := fs.String("n", "4,6,8,10", "comma-separated sum-register widths")
 	rates := fs.String("rates", "1,2,3", "comma-separated 2q error percentages")
-	backendName := fs.String("backend", backend.DefaultName,
-		"execution backend: "+strings.Join(backend.Names(), "|")+" (density caps n at 5)")
-	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	rundir := fs.String("rundir", "", "durable run directory (per-point checkpoints)")
-	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
-	shardStr := fs.String("shard", "", "run shard i/N of the grid (requires -rundir, merge with merge-runs)")
-	scorerList := fs.String("scorers", "margin", "success metrics, comma-separated; margin is always on")
-	var cf compileFlags
-	cf.register(fs)
-	var prof profiler
-	prof.register(fs)
-	var telem telemetryFlags
-	telem.register(fs)
+	var common sweepCommon
+	common.register(fs)
 	fs.Parse(args)
-	defer prof.start()()
-	shard, err := experiment.ParseShard(*shardStr)
+	defer common.prof.start()()
+	ro := common.validate(0)
+	extraScorers := common.extraScorers()
+	ns := parseList("-n", *widths, func(tok string) (int, error) {
+		n, err := strconv.Atoi(tok)
+		if err == nil && n < 2 {
+			err = fmt.Errorf("width %d < 2", n)
+		}
+		return n, err
+	})
+	p2s, err := experiment.RateGrid(parseList("-rates", *rates, parseFloat))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
-	pcfg := cf.config()
-	extraScorers := parseScorers(*scorerList)
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := newRunnerOrExit(*backendName, *workers)
+	runner := common.runner()
 
-	var ns []int
-	for _, tok := range strings.Split(*widths, ",") {
-		var n int
-		fmt.Sscanf(strings.TrimSpace(tok), "%d", &n)
-		ns = append(ns, n)
-	}
-	var p2s []float64
-	for _, tok := range strings.Split(*rates, ",") {
-		var p float64
-		fmt.Sscanf(strings.TrimSpace(tok), "%g", &p)
-		p2s = append(p2s, p/100)
-	}
 	scalingDepths := func(n int) []int {
 		depths := []int{1, 2, 3}
 		if n > 4 {
@@ -287,7 +271,7 @@ func runScaling(args []string) {
 	}
 	spec := scalingSpec{Command: "scaling", Ns: ns, Rates: p2s,
 		Instances: *instances, Shots: *shots, Traj: *traj,
-		Backend: *backendName, Pipeline: pcfg.Hash(),
+		Backend: ro.backend, Pipeline: ro.pipeline.Hash(),
 		Scorers: extraScorers}
 	var keys []string
 	for _, n := range ns {
@@ -297,18 +281,13 @@ func runScaling(args []string) {
 			}
 		}
 	}
-	sfr := sweepFlags{rundir: *rundir, resume: *resume, backend: *backendName,
-		shard: shard, pipeline: pcfg}
-	run := sfr.openRun("scaling", spec, keys)
+	run := ro.openRun("scaling", spec, keys)
 	snapDir := ""
 	if run != nil {
 		snapDir = run.Dir()
 	}
-	defer telem.start(snapDir)()
-	var ck experiment.CheckpointStore
-	if run != nil {
-		ck = run
-	}
+	defer common.telem.start(snapDir)()
+	ck := checkpoint(run)
 
 	fmt.Printf("E10 — register-width scaling (1:2 QFA, %d instances, %d traj)\n", *instances, *traj)
 	fmt.Printf("%-4s %-8s %-28s %-10s %-10s\n", "n", "λ2q%", "success by depth 1,2,3,…,full", "best", "log2(n)")
@@ -319,7 +298,7 @@ func runScaling(args []string) {
 			best, bestS := 0, -1.0
 			for di, d := range depths {
 				key := scalingKey(n, ri, di)
-				if !shard.Owns(key) {
+				if !ro.shard.Owns(key) {
 					// Owned by another shard: shown after merge + resume.
 					cells = append(cells, "·")
 					continue
@@ -330,12 +309,12 @@ func runScaling(args []string) {
 					Model:    noise.PaperModel(0, p2),
 					OrderX:   1, OrderY: 2,
 					Instances: *instances, Shots: *shots, Trajectories: *traj,
-					RowSeed:   splitMix(77, uint64(n)),
-					PointSeed: splitMix(78, uint64(n)<<16|uint64(d)<<8|uint64(p2*1000)),
-					Pipeline:  pcfg,
+					RowSeed:   experiment.SplitSeed(77, uint64(n)),
+					PointSeed: experiment.SplitSeed(78, uint64(n)<<16|uint64(d)<<8|uint64(p2*1000)),
+					Pipeline:  ro.pipeline,
 					Scorers:   extraScorers,
 				}
-				r, err := experiment.RunPointCkptCtx(ctx, runner, cfg, key, ck)
+				r, err := experiment.RunPoint(ctx, runner, cfg, experiment.PointOptions{Key: key, Checkpoint: ck})
 				if err != nil {
 					exitSweepErr(err, run)
 				}
@@ -352,9 +331,9 @@ func runScaling(args []string) {
 				strings.Join(cells, "/"), bestLabel, math.Log2(float64(n)))
 		}
 	}
-	if shard.Enabled() {
+	if ro.shard.Enabled() {
 		fmt.Printf("shard %s complete: merge with `qfarith merge-runs -out MERGED %s ...`, then resume the merged run for the full table\n",
-			shard, run.Dir())
+			ro.shard, run.Dir())
 	}
 }
 

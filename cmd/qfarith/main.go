@@ -27,6 +27,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -51,14 +53,8 @@ func main() {
 	switch cmd {
 	case "table1":
 		runTable1()
-	case "fig3":
-		runFigure(args, experiment.PaperAddGeometry(), experiment.AddDepths, "fig3")
-	case "fig4":
-		runFigure(args, experiment.PaperMulGeometry(), experiment.MulDepths, "fig4")
-	case "fig3-signed":
-		runFigure(args, experiment.PaperSubGeometry(), experiment.AddDepths, "fig3-signed")
-	case "fig4-signed":
-		runFigure(args, experiment.PaperSignedMulGeometry(), experiment.MulDepths, "fig4-signed")
+	case "fig3", "fig4", "fig3-signed", "fig4-signed":
+		runFigure(args, cmd)
 	case "claim-2q":
 		runClaim2Q(args)
 	case "ablate-addcut":
@@ -128,38 +124,116 @@ func runTable1() {
 
 // ---------------------------------------------------------------- sweeps
 
-type sweepFlags struct {
-	budget    experiment.Budget
-	outDir    string
-	seed      uint64
-	rates1q   []float64
-	rates2q   []float64
-	axes      []experiment.ErrorAxis
-	orderSets [][2]int
-	backend   string
-	workers   int
-	rundir    string
-	resume    bool
-	shard     experiment.Shard
-	pipeline  compile.Config
-	scorers   []string
-	prof      profiler
-	telem     telemetryFlags
+// sweepCommon holds the flags every sweep command shares: execution
+// backend and worker pool, durable run directory and shard, scorers,
+// the compile pipeline, profiling and telemetry.
+type sweepCommon struct {
+	backend, rundir, shard, scorers *string
+	passes, coupling                *string
+	workers                         *int
+	resume, compileDebug            *bool
+	prof                            profiler
+	telem                           telemetryFlags
 }
 
-// runner builds the shared execution runner the sweep submits to: the
-// selected backend behind one bounded worker pool.
-func (sf sweepFlags) runner() *backend.Runner {
-	return newRunnerOrExit(sf.backend, sf.workers)
+func (c *sweepCommon) register(fs *flag.FlagSet) {
+	c.backend = fs.String("backend", backend.DefaultName,
+		"execution backend: "+strings.Join(backend.Names(), "|"))
+	c.workers = fs.Int("workers", 0, "worker-pool size shared across points and instances (0 = GOMAXPROCS)")
+	c.rundir = fs.String("rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
+	c.resume = fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
+	c.shard = fs.String("shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
+	c.scorers = fs.String("scorers", "margin",
+		"success metrics, comma-separated (registered: "+strings.Join(metrics.ScorerNames(), ",")+"); margin is always on, extras append CSV columns")
+	c.passes = fs.String("passes", compile.DefaultString(),
+		"compilation pass list, comma-separated (known: "+strings.Join(compile.KnownPasses(), ",")+")")
+	c.coupling = fs.String("coupling", "",
+		"coupling map for the route pass: linear:N, grid:RxC, heavyhex27")
+	c.compileDebug = fs.Bool("compile-debug", false,
+		"verify statevector equivalence after every compilation pass (small registers only)")
+	c.prof.register(fs)
+	c.telem.register(fs)
 }
 
-func newRunnerOrExit(backendName string, workers int) *backend.Runner {
-	b, err := backend.New(backendName)
+// validate turns the parsed shared flags into a sweep's durable-run
+// settings, exiting with status 2 on a malformed shard, -resume or
+// -shard without -rundir, or an invalid pipeline, so errors surface
+// before any sweeping starts. seed is what the manifest records.
+func (c *sweepCommon) validate(seed uint64) runOpts {
+	if *c.resume && *c.rundir == "" {
+		fmt.Fprintln(os.Stderr, "-resume requires -rundir")
+		exit(2)
+	}
+	shard, err := experiment.ParseShard(*c.shard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(2)
 	}
-	return backend.NewRunner(b, workers)
+	if shard.Enabled() && *c.rundir == "" {
+		fmt.Fprintln(os.Stderr, "-shard requires -rundir (shard outputs are merged from run directories)")
+		exit(2)
+	}
+	pcfg := compile.Config{
+		Passes:   compile.ParsePasses(*c.passes),
+		Coupling: *c.coupling,
+		Debug:    *c.compileDebug,
+	}
+	if _, err := compile.New(pcfg); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	return runOpts{rundir: *c.rundir, resume: *c.resume, shard: shard,
+		backend: *c.backend, seed: seed, pipeline: pcfg}
+}
+
+// extraScorers validates -scorers (experiment.ExtraScorers), exiting
+// with status 2 on an unknown scorer.
+func (c *sweepCommon) extraScorers() []string {
+	extras, err := experiment.ExtraScorers(strings.Split(*c.scorers, ","))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	return extras
+}
+
+// runner builds the shared execution runner the sweep submits to: the
+// selected backend behind one bounded worker pool.
+func (c *sweepCommon) runner() *backend.Runner {
+	b, err := backend.New(*c.backend)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	return backend.NewRunner(b, *c.workers)
+}
+
+// runOpts are the durable-run settings of a sweep command: where its
+// run directory lives, whether to resume it, which shard of the grid
+// it owns, and what its manifest records.
+type runOpts struct {
+	rundir   string
+	resume   bool
+	shard    experiment.Shard
+	backend  string
+	seed     uint64
+	pipeline compile.Config
+}
+
+// sweepFlags are the parsed flags of a figure-style sweep command.
+type sweepFlags struct {
+	runOpts
+	common sweepCommon
+	// spec is the validated sweep identity (experiment.SweepRequest.Spec);
+	// figure commands carry their geometry and depth legend in it.
+	spec   experiment.SweepSpec
+	outDir string
+}
+
+// budget is the sweep's statistical effort plus its worker bound.
+func (sf *sweepFlags) budget() experiment.Budget {
+	return experiment.Budget{Instances: sf.spec.Instances, Shots: sf.spec.Shots,
+		Trajectories: sf.spec.Traj, Workers: *sf.common.workers}
 }
 
 // sweepContext returns a context cancelled by Ctrl-C / SIGTERM, so a
@@ -185,21 +259,13 @@ func exitSweepErr(err error, run *runstore.Run) {
 	exit(1)
 }
 
-// spec assembles the sweep's hashed identity. The struct itself lives
-// in internal/experiment (SweepSpec) because the qfarithd job API
-// builds the very same value: equal specs mean equal config hashes,
-// which is what lets the CLI resume a daemon-created run directory.
-func (sf sweepFlags) spec(command string, geo experiment.Geometry, depths []int) experiment.SweepSpec {
-	return experiment.SweepSpec{
-		Command: command, Geometry: geo, Depths: depths,
-		Axes: sf.axes, Orders: sf.orderSets,
-		Rates1Q: sf.rates1q, Rates2Q: sf.rates2q,
-		Instances: sf.budget.Instances, Shots: sf.budget.Shots,
-		Traj: sf.budget.Trajectories,
-		Seed: sf.seed, Backend: sf.backend,
-		Pipeline: sf.pipeline.Hash(),
-		Scorers:  sf.scorers,
+// checkpoint returns run as a checkpoint store, or nil (not a typed
+// nil) when the sweep is not durable.
+func checkpoint(run *runstore.Run) experiment.CheckpointStore {
+	if run == nil {
+		return nil
 	}
+	return run
 }
 
 // openRun creates (or, with -resume, reopens and hash-verifies) the
@@ -208,16 +274,8 @@ func (sf sweepFlags) spec(command string, geo experiment.Geometry, depths []int)
 // grid's checkpoint-key list (all shards record the same full list);
 // it and the sweep spec are written as sidecars so merge-runs can
 // detect gaps and regenerate final CSVs without re-deriving the grid.
-func (sf sweepFlags) openRun(command string, spec any, keys []string) *runstore.Run {
-	if sf.rundir == "" {
-		if sf.resume {
-			fmt.Fprintln(os.Stderr, "-resume requires -rundir")
-			exit(2)
-		}
-		if sf.shard.Enabled() {
-			fmt.Fprintln(os.Stderr, "-shard requires -rundir (shard outputs are merged from run directories)")
-			exit(2)
-		}
+func (ro runOpts) openRun(command string, spec any, keys []string) *runstore.Run {
+	if ro.rundir == "" {
 		return nil
 	}
 	hash, err := runstore.HashConfig(spec)
@@ -226,20 +284,20 @@ func (sf sweepFlags) openRun(command string, spec any, keys []string) *runstore.
 		exit(1)
 	}
 	var run *runstore.Run
-	if sf.resume {
-		run, err = runstore.Resume(sf.rundir, hash)
-		if err == nil && run.Manifest().Shard != sf.shard.String() {
+	if ro.resume {
+		run, err = runstore.Resume(ro.rundir, hash)
+		if err == nil && run.Manifest().Shard != ro.shard.String() {
 			fmt.Fprintf(os.Stderr, "run %s was started as shard %q, current -shard is %q (refusing to change the partition mid-run)\n",
-				run.Dir(), run.Manifest().Shard, sf.shard.String())
+				run.Dir(), run.Manifest().Shard, ro.shard.String())
 			exit(1)
 		}
 	} else {
-		run, err = runstore.Create(sf.rundir, runstore.Manifest{
-			Command: command, ConfigHash: hash, Seed: sf.seed,
-			Backend: sf.backend, Pipeline: sf.pipeline.Hash(),
+		run, err = runstore.Create(ro.rundir, runstore.Manifest{
+			Command: command, ConfigHash: hash, Seed: ro.seed,
+			Backend: ro.backend, Pipeline: ro.pipeline.Hash(),
 			GitDescribe: runstore.GitDescribe("."),
 			StartTime:   time.Now().UTC(),
-			Shard:       sf.shard.String(),
+			Shard:       ro.shard.String(),
 		})
 		if err == nil {
 			if serr := runstore.WriteSpec(run.Dir(), spec); serr != nil {
@@ -257,181 +315,69 @@ func (sf sweepFlags) openRun(command string, spec any, keys []string) *runstore.
 		exit(1)
 	}
 	onExit(func() { run.Close() })
-	if sf.shard.Enabled() {
-		telemetryShard(sf.shard)
+	if ro.shard.Enabled() {
+		telemetryShard(ro.shard)
 	}
 	switch {
-	case sf.resume && sf.shard.Enabled():
-		fmt.Printf("resuming shard %s run %s: %d checkpointed points restored\n", sf.shard, run.Dir(), run.Restored())
-	case sf.resume:
+	case ro.resume && ro.shard.Enabled():
+		fmt.Printf("resuming shard %s run %s: %d checkpointed points restored\n", ro.shard, run.Dir(), run.Restored())
+	case ro.resume:
 		fmt.Printf("resuming run %s: %d checkpointed points restored\n", run.Dir(), run.Restored())
-	case sf.shard.Enabled():
-		fmt.Printf("run dir %s (config %s, shard %s of the grid)\n", run.Dir(), hash, sf.shard)
+	case ro.shard.Enabled():
+		fmt.Printf("run dir %s (config %s, shard %s of the grid)\n", run.Dir(), hash, ro.shard)
 	default:
 		fmt.Printf("run dir %s (config %s)\n", run.Dir(), hash)
 	}
 	return run
 }
 
-func parseSweepFlags(args []string, name string) sweepFlags {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	budgetName := fs.String("budget", "standard", "quick|standard|full")
-	instances := fs.Int("instances", 0, "override instance count")
-	shots := fs.Int("shots", 0, "override shots per instance")
-	traj := fs.Int("traj", 0, "override conditional trajectories per instance")
-	out := fs.String("out", "results", "output directory for CSV files")
-	seed := fs.Uint64("seed", 20260704, "base RNG seed")
-	axis := fs.String("axis", "both", "1q|2q|both")
-	orders := fs.String("orders", "1:1,1:2,2:2", "comma-separated operand orders")
-	rates := fs.String("rates", "", "override error-rate grid, comma-separated percentages (e.g. 1,2,3,5)")
-	backendName := fs.String("backend", backend.DefaultName,
-		"execution backend: "+strings.Join(backend.Names(), "|"))
-	workers := fs.Int("workers", 0, "worker-pool size shared across points and instances (0 = GOMAXPROCS)")
-	rundir := fs.String("rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
-	resume := fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
-	shardStr := fs.String("shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
-	scorers := fs.String("scorers", "margin",
-		"success metrics, comma-separated (registered: "+strings.Join(metrics.ScorerNames(), ",")+"); margin is always on, extras append CSV columns")
-	var cf compileFlags
-	cf.register(fs)
-	var prof profiler
-	prof.register(fs)
-	var telem telemetryFlags
-	telem.register(fs)
-	fs.Parse(args)
-	if *resume && *rundir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -rundir")
-		exit(2)
-	}
-	shard, err := experiment.ParseShard(*shardStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(2)
-	}
-	if shard.Enabled() && *rundir == "" {
-		fmt.Fprintln(os.Stderr, "-shard requires -rundir (shard outputs are merged from run directories)")
-		exit(2)
-	}
-	extraScorers := parseScorers(*scorers)
-	pcfg := cf.config()
-
-	var b experiment.Budget
-	switch *budgetName {
-	case "quick":
-		b = experiment.Quick
-	case "standard":
-		b = experiment.Standard
-	case "full":
-		b = experiment.Full
-	default:
-		fmt.Fprintf(os.Stderr, "unknown budget %q\n", *budgetName)
-		exit(2)
-	}
-	if *instances > 0 {
-		b.Instances = *instances
-	}
-	if *shots > 0 {
-		b.Shots = *shots
-	}
-	if *traj > 0 {
-		b.Trajectories = *traj
-	}
-
-	b.Workers = *workers
-	sf := sweepFlags{budget: b, outDir: *out, seed: *seed,
-		rates1q: experiment.PaperRates1Q, rates2q: experiment.PaperRates2Q,
-		backend: *backendName, workers: *workers,
-		rundir: *rundir, resume: *resume, shard: shard,
-		pipeline: pcfg, scorers: extraScorers, prof: prof, telem: telem}
-	if *rates != "" {
-		var grid []float64
-		for _, tok := range strings.Split(*rates, ",") {
-			var pct float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%g", &pct); err != nil {
-				fmt.Fprintf(os.Stderr, "bad rate %q\n", tok)
-				exit(2)
-			}
-			grid = append(grid, pct/100)
-		}
-		sf.rates1q, sf.rates2q = grid, grid
-	}
-	switch *axis {
-	case "1q":
-		sf.axes = []experiment.ErrorAxis{experiment.Axis1Q}
-	case "2q":
-		sf.axes = []experiment.ErrorAxis{experiment.Axis2Q}
-	case "both":
-		sf.axes = []experiment.ErrorAxis{experiment.Axis1Q, experiment.Axis2Q}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown axis %q\n", *axis)
-		exit(2)
-	}
-	for _, tok := range strings.Split(*orders, ",") {
-		var ox, oy int
-		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d:%d", &ox, &oy); err != nil {
-			fmt.Fprintf(os.Stderr, "bad orders token %q\n", tok)
+// parseList splits a comma-separated flag value and parses each token,
+// exiting with status 2 on the first token parse refuses.
+func parseList[T any](flagName, s string, parse func(string) (T, error)) []T {
+	var out []T
+	for _, tok := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(tok))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bad %s value %q\n", flagName, tok)
 			exit(2)
 		}
-		sf.orderSets = append(sf.orderSets, [2]int{ox, oy})
+		out = append(out, v)
+	}
+	return out
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// parseSweepFlags parses a figure-style sweep command's flags and
+// validates them through experiment.SweepRequest.Spec, the validator
+// qfarithd's job API shares; any refusal exits with status 2.
+func parseSweepFlags(args []string, name string) *sweepFlags {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	req := experiment.SweepRequest{Command: name}
+	fs.StringVar(&req.Budget, "budget", "standard", "quick|standard|full")
+	fs.IntVar(&req.Instances, "instances", 0, "override instance count")
+	fs.IntVar(&req.Shots, "shots", 0, "override shots per instance")
+	fs.IntVar(&req.Trajectories, "traj", 0, "override conditional trajectories per instance")
+	fs.Uint64Var(&req.Seed, "seed", 20260704, "base RNG seed")
+	fs.StringVar(&req.Axis, "axis", "both", "1q|2q|both")
+	fs.StringVar(&req.Orders, "orders", "1:1,1:2,2:2", "comma-separated operand orders")
+	rates := fs.String("rates", "", "override error-rate grid, comma-separated percentages (e.g. 1,2,3,5)")
+	sf := &sweepFlags{}
+	fs.StringVar(&sf.outDir, "out", "results", "output directory for CSV files")
+	sf.common.register(fs)
+	fs.Parse(args)
+	sf.runOpts = sf.common.validate(req.Seed)
+	req.Backend, req.Pipeline = sf.backend, sf.pipeline
+	req.Scorers = strings.Split(*sf.common.scorers, ",")
+	if *rates != "" {
+		req.RatesPct = parseList("-rates", *rates, parseFloat)
+	}
+	var err error
+	if sf.spec, err = req.Spec(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
 	}
 	return sf
-}
-
-// parseScorers validates the -scorers flag value: a comma-separated
-// list of registered scorer names. The paper's margin scoring is always
-// on (its six columns are the frozen CSV schema), so "margin" is
-// stripped; what remains — deduplicated, order preserved — is the extra
-// scorer list threaded into every PointConfig. An empty result keeps
-// the sweep on the historical margin-only path, byte for byte.
-func parseScorers(s string) []string {
-	var extras []string
-	seen := map[string]bool{}
-	for _, tok := range strings.Split(s, ",") {
-		name := strings.TrimSpace(tok)
-		if name == "" || name == "margin" || seen[name] {
-			continue
-		}
-		if _, ok := metrics.LookupScorer(name); !ok {
-			fmt.Fprintf(os.Stderr, "unknown scorer %q (registered: %s)\n",
-				name, strings.Join(metrics.ScorerNames(), ","))
-			exit(2)
-		}
-		seen[name] = true
-		extras = append(extras, name)
-	}
-	return extras
-}
-
-// compileFlags registers the compilation-pipeline flags shared by every
-// circuit-running subcommand (sweeps, scaling, ablate-routing).
-type compileFlags struct {
-	passes   *string
-	coupling *string
-	debug    *bool
-}
-
-func (cf *compileFlags) register(fs *flag.FlagSet) {
-	cf.passes = fs.String("passes", compile.DefaultString(),
-		"compilation pass list, comma-separated (known: "+strings.Join(compile.KnownPasses(), ",")+")")
-	cf.coupling = fs.String("coupling", "",
-		"coupling map for the route pass: linear:N, grid:RxC, heavyhex27")
-	cf.debug = fs.Bool("compile-debug", false,
-		"verify statevector equivalence after every compilation pass (small registers only)")
-}
-
-// config validates the flags into a compile.Config, exiting on an
-// invalid pipeline so errors surface before any sweeping starts.
-func (cf *compileFlags) config() compile.Config {
-	cfg := compile.Config{
-		Passes:   compile.ParsePasses(*cf.passes),
-		Coupling: *cf.coupling,
-		Debug:    *cf.debug,
-	}
-	if _, err := compile.New(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(2)
-	}
-	return cfg
 }
 
 // printPassStats renders the per-pass compilation summary, summed over
@@ -459,17 +405,17 @@ func printPassStats(c *backend.TranspileCache) {
 	}
 }
 
-func runFigure(args []string, geo experiment.Geometry, depths []int, name string) {
+func runFigure(args []string, name string) {
 	sf := parseSweepFlags(args, name)
-	defer sf.prof.start()()
+	defer sf.common.prof.start()()
 	// The panel set — and with it the full grid's checkpoint keys — is
 	// fixed before anything runs, so the key list can be recorded for
 	// merge-time gap detection and shard ownership filtering. The
 	// enumeration is shared with merge-runs and the qfarithd executor
 	// (experiment.SweepSpec.Panels), so every consumer agrees on panel
 	// labels, grid keys, and seeds.
-	spec := sf.spec(name, geo, depths)
-	panels, allKeys := spec.Panels(sf.pipeline, sf.budget.Workers)
+	spec := sf.spec
+	panels, allKeys := spec.Panels(sf.pipeline, *sf.common.workers)
 	run := sf.openRun(name, spec, allKeys)
 	artifactDir := sf.outDir
 	if run != nil {
@@ -483,10 +429,10 @@ func runFigure(args []string, geo experiment.Geometry, depths []int, name string
 	if run != nil {
 		snapDir = run.Dir()
 	}
-	defer sf.telem.start(snapDir)()
+	defer sf.common.telem.start(snapDir)()
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := sf.runner()
+	runner := sf.common.runner()
 	fmt.Printf("backend=%s workers=%d\n", runner.Backend().Name(), runner.Workers())
 	start := time.Now()
 	tracker := newSweepTracker(len(sf.shard.OwnedKeys(allKeys)))
@@ -512,13 +458,9 @@ func runFigure(args []string, geo experiment.Geometry, depths []int, name string
 				experiment.DepthLabel(p.Point.Config.Depth, 8),
 				p.Point.Stats.SuccessRate, time.Since(start).Round(time.Second))
 		}
-		var res experiment.PanelResult
-		var err error
-		if run != nil {
-			res, err = experiment.RunPanelShardCheckpointCtx(ctx, runner, pc, label, sf.shard, run, progress)
-		} else {
-			res, err = experiment.RunPanelCtx(ctx, runner, pc, progress)
-		}
+		res, err := experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{
+			Label: label, Shard: sf.shard, Checkpoint: checkpoint(run), Progress: progress,
+		})
 		if err != nil {
 			exitSweepErr(err, run)
 		}
@@ -565,47 +507,44 @@ func pointRate(r experiment.PointResult) float64 {
 // improved rate (0.7%).
 func runClaim2Q(args []string) {
 	sf := parseSweepFlags(args, "claim-2q")
-	defer sf.prof.start()()
+	defer sf.common.prof.start()()
 	if sf.shard.Enabled() {
 		fmt.Fprintln(os.Stderr, "claim-2q does not support -shard (its summary needs the full grid); shard fig3/fig4/scaling/ablate-routing instead")
 		exit(2)
 	}
-	geo := experiment.PaperAddGeometry()
+	spec := sf.spec
+	spec.Geometry, spec.Depths = experiment.PaperAddGeometry(), experiment.AddDepths
 	rates := []float64{0.007, 0.010}
-	sf.rates1q, sf.rates2q = rates, rates
-	sf.orderSets = [][2]int{{1, 2}, {2, 2}}
+	spec.Rates1Q, spec.Rates2Q = rates, rates
+	spec.Orders = [][2]int{{1, 2}, {2, 2}}
 	var allKeys []string
-	for _, orders := range sf.orderSets {
-		pc := experiment.PanelConfig{Rates: rates, Depths: experiment.AddDepths}
+	for _, orders := range spec.Orders {
+		pc := experiment.PanelConfig{Rates: rates, Depths: spec.Depths}
 		allKeys = append(allKeys, pc.Keys(fmt.Sprintf("claim2q_%d%d", orders[0], orders[1]))...)
 	}
-	run := sf.openRun("claim-2q", sf.spec("claim-2q", geo, experiment.AddDepths), allKeys)
+	run := sf.openRun("claim-2q", spec, allKeys)
 	snapDir := ""
 	if run != nil {
 		snapDir = run.Dir()
 	}
-	defer sf.telem.start(snapDir)()
+	defer sf.common.telem.start(snapDir)()
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := sf.runner()
+	runner := sf.common.runner()
 	fmt.Println("E4 — superposition-order penalty vs 2q error rate (QFA n=8)")
-	for _, orders := range sf.orderSets {
+	for _, orders := range spec.Orders {
 		pc := experiment.PanelConfig{
-			Geometry: geo, Axis: experiment.Axis2Q,
+			Geometry: spec.Geometry, Axis: experiment.Axis2Q,
 			OrderX: orders[0], OrderY: orders[1],
-			Rates: rates, Depths: experiment.AddDepths,
-			Budget: sf.budget, Seed: sf.seed,
+			Rates: rates, Depths: spec.Depths,
+			Budget: sf.budget(), Seed: spec.Seed,
 			Pipeline: sf.pipeline,
-			Scorers:  sf.scorers,
+			Scorers:  spec.Scorers,
 		}
-		var res experiment.PanelResult
-		var err error
-		if run != nil {
-			label := fmt.Sprintf("claim2q_%d%d", orders[0], orders[1])
-			res, err = experiment.RunPanelCheckpointCtx(ctx, runner, pc, label, run, nil)
-		} else {
-			res, err = experiment.RunPanelCtx(ctx, runner, pc, nil)
-		}
+		res, err := experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{
+			Label:      fmt.Sprintf("claim2q_%d%d", orders[0], orders[1]),
+			Checkpoint: checkpoint(run),
+		})
 		if err != nil {
 			exitSweepErr(err, run)
 		}
@@ -631,20 +570,20 @@ func runClaim2Q(args []string) {
 // current-hardware noise point.
 func runAblateAddCut(args []string) {
 	sf := parseSweepFlags(args, "ablate-addcut")
-	defer sf.prof.start()()
+	defer sf.common.prof.start()()
 	if sf.shard.Enabled() {
 		fmt.Fprintln(os.Stderr, "ablate-addcut does not support -shard")
 		exit(2)
 	}
-	defer sf.telem.start("")()
+	defer sf.common.telem.start("")()
 	ctx, stop := sweepContext()
 	defer stop()
-	runner := sf.runner()
+	runner := sf.common.runner()
 	geo := experiment.PaperAddGeometry()
 	fmt.Println("E6 — approximate addition-step ablation (QFA n=8, full AQFT, 2:2)")
 	fmt.Printf("%-10s %12s %12s %12s\n", "addCut", "2q gates", "success@0%", "success@1%2q")
+	b := sf.budget()
 	for _, cut := range []int{1, 2, 3, 4, 6, 8} {
-		acfg := arith.Config{Depth: qft.Full, AddCut: cut}
 		var succ [2]float64
 		var twoQ int
 		for i, rate := range []float64{0, 0.01} {
@@ -655,12 +594,12 @@ func runAblateAddCut(args []string) {
 			pc := experiment.PointConfig{
 				Geometry: geo, Depth: qft.Full, Model: model,
 				OrderX: 2, OrderY: 2,
-				Instances: sf.budget.Instances, Shots: sf.budget.Shots,
-				Trajectories: sf.budget.Trajectories,
-				RowSeed:      splitMix(sf.seed, 0x22), PointSeed: splitMix(sf.seed, uint64(cut)<<8|uint64(i)),
+				Instances: b.Instances, Shots: b.Shots,
+				Trajectories: b.Trajectories,
+				RowSeed:      experiment.SplitSeed(sf.seed, 0x22), PointSeed: experiment.SplitSeed(sf.seed, uint64(cut)<<8|uint64(i)),
 				Pipeline: sf.pipeline,
 			}
-			r, err := experiment.RunPointCfgCtx(ctx, runner, pc, acfg)
+			r, err := experiment.RunPoint(ctx, runner, pc, experiment.PointOptions{AddCut: cut})
 			if err != nil {
 				exitSweepErr(err, nil)
 			}
@@ -673,13 +612,6 @@ func runAblateAddCut(args []string) {
 		}
 		fmt.Printf("%-10s %12d %11.1f%% %11.1f%%\n", label, twoQ, succ[0], succ[1])
 	}
-}
-
-func splitMix(base, idx uint64) uint64 {
-	z := base + 0x9e3779b97f4a7c15*(idx+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------- demo
@@ -719,10 +651,6 @@ func keys(m map[int]bool) []int {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Ints(out)
 	return out
 }

@@ -93,12 +93,12 @@ func main() {
 		Seed:   7,
 	}
 	completed := 0
-	_, err = experiment.RunPanelCtx(ctx, runner, pc, func(p experiment.Progress) {
+	_, err = experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{Progress: func(p experiment.Progress) {
 		completed = p.Done
 		if p.Done == 3 {
 			cancel()
 		}
-	})
+	}})
 	hits, misses := runner.Cache().Stats()
 	fmt.Printf("  %d/%d points finished before cancel, error: %v\n", completed, 12, err)
 	fmt.Printf("  transpile cache at cancel: %d built, %d reused\n", misses, hits)

@@ -6,14 +6,16 @@ package qfarith_test
 // state preparation feeding arithmetic).
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"qfarith/internal/arith"
+	"qfarith/internal/backend"
 	"qfarith/internal/circuit"
+	"qfarith/internal/compile"
 	"qfarith/internal/experiment"
-	"qfarith/internal/layout"
 	"qfarith/internal/metrics"
 	"qfarith/internal/noise"
 	"qfarith/internal/qasm"
@@ -66,7 +68,7 @@ func TestQASMRoundTripThroughNoiseEngine(t *testing.T) {
 }
 
 // TestRoutedNoisyPipelineEndToEnd is the full E7 stack on a small
-// instance: build, transpile, route onto a ring, run noisy trajectories,
+// instance: build, transpile, route onto a 2x3 grid through the pipeline, run noisy trajectories,
 // sample shots, and score with the paper's metric.
 func TestRoutedNoisyPipelineEndToEnd(t *testing.T) {
 	cfg := experiment.PointConfig{
@@ -77,7 +79,11 @@ func TestRoutedNoisyPipelineEndToEnd(t *testing.T) {
 		Instances: 5, Shots: 512, Trajectories: 8,
 		RowSeed: 31, PointSeed: 37,
 	}
-	r := experiment.RunRoutedPoint(cfg, layout.Ring(6))
+	cfg.Pipeline = compile.Config{
+		Passes:   []string{compile.PassDecompose, compile.PassRoute, compile.PassFuse},
+		Coupling: "grid:2x3", // the 6-qubit ring plus one rung
+	}
+	r := runPoint(t, cfg)
 	if r.Stats.Instances != 5 {
 		t.Fatalf("instances %d", r.Stats.Instances)
 	}
@@ -87,6 +93,16 @@ func TestRoutedNoisyPipelineEndToEnd(t *testing.T) {
 	if r.Stats.MeanFidelity <= 0 || r.Stats.MeanFidelity > 1+1e-9 {
 		t.Errorf("mean fidelity out of range: %g", r.Stats.MeanFidelity)
 	}
+}
+
+// runPoint runs cfg on a fresh trajectory runner.
+func runPoint(t *testing.T, cfg experiment.PointConfig) experiment.PointResult {
+	t.Helper()
+	r, err := experiment.RunPoint(context.Background(), backend.NewRunner(backend.NewTrajectoryBackend(), cfg.Workers), cfg, experiment.PointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestFidelityTracksSuccessAcrossNoise checks the E2-style relationship
@@ -107,7 +123,7 @@ func TestFidelityTracksSuccessAcrossNoise(t *testing.T) {
 			Instances: 6, Shots: 256, Trajectories: 16,
 			RowSeed: 5, PointSeed: 6,
 		}
-		r := experiment.RunPoint(cfg)
+		r := runPoint(t, cfg)
 		if p2 == 0 && math.Abs(r.Stats.MeanFidelity-1) > 1e-9 {
 			t.Errorf("noiseless fidelity %g", r.Stats.MeanFidelity)
 		}
@@ -151,7 +167,10 @@ func TestExperimentCSVFeedsReport(t *testing.T) {
 		Budget: experiment.Budget{Instances: 3, Shots: 64, Trajectories: 4},
 		Seed:   77,
 	}
-	res := experiment.RunPanel(pc, nil)
+	res, err := experiment.RunPanel(context.Background(), backend.NewRunner(backend.NewTrajectoryBackend(), 0), pc, experiment.PanelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := experiment.ParseCSV(res.CSV())
 	if err != nil {
 		t.Fatal(err)

@@ -31,20 +31,14 @@ type CircuitKey struct {
 	Pipeline string
 }
 
-// cacheEntry pairs a compiled circuit with the per-pass statistics of
-// the pipeline run that built it.
-type cacheEntry struct {
-	res   *transpile.Result
-	stats []compile.Stats
-}
-
-// TranspileCache memoizes compiled circuits by CircuitKey. It is safe
-// for concurrent use; the returned *transpile.Result is shared and must
-// be treated as immutable (every consumer in this codebase already
-// does).
+// TranspileCache memoizes compiled artifacts by CircuitKey: the
+// executable circuit, the per-pass statistics of the pipeline run that
+// built it, and the routed layout when a route pass ran. It is safe for
+// concurrent use; a returned artifact is shared and must be treated as
+// immutable (every consumer in this codebase already does).
 type TranspileCache struct {
 	mu     sync.Mutex
-	m      map[CircuitKey]cacheEntry
+	m      map[CircuitKey]*compile.Artifact
 	hits   int
 	misses int
 	// ctrs memoizes the labeled hit/miss counter pair per pipeline
@@ -60,7 +54,7 @@ type pipelineCounters struct {
 // NewTranspileCache returns an empty cache.
 func NewTranspileCache() *TranspileCache {
 	return &TranspileCache{
-		m:    make(map[CircuitKey]cacheEntry),
+		m:    make(map[CircuitKey]*compile.Artifact),
 		ctrs: make(map[string]*pipelineCounters),
 	}
 }
@@ -83,35 +77,35 @@ func (c *TranspileCache) countersFor(pipeline string) *pipelineCounters {
 // on the first request. Concurrent Gets for the same key build at most
 // once; build must be pure (same key → same circuit).
 func (c *TranspileCache) Get(key CircuitKey, build func() *transpile.Result) *transpile.Result {
-	res, _, err := c.GetCompiled(key, func() (*transpile.Result, []compile.Stats, error) {
-		return build(), nil, nil
+	art, err := c.GetCompiled(key, func() (*compile.Artifact, error) {
+		return &compile.Artifact{Result: build()}, nil
 	})
 	if err != nil {
 		// Unreachable: the adapter above never errors.
 		panic("backend: " + err.Error())
 	}
-	return res
+	return art.Result
 }
 
-// GetCompiled is Get for pipeline builds: it memoizes the compiled
-// circuit together with its per-pass stats and propagates build errors
-// (a failed build is not cached).
-func (c *TranspileCache) GetCompiled(key CircuitKey, build func() (*transpile.Result, []compile.Stats, error)) (*transpile.Result, []compile.Stats, error) {
+// GetCompiled is Get for pipeline builds: it memoizes the whole
+// compiled artifact — circuit, per-pass stats and routed layout — and
+// propagates build errors (a failed build is not cached).
+func (c *TranspileCache) GetCompiled(key CircuitKey, build func() (*compile.Artifact, error)) (*compile.Artifact, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
+	if art, ok := c.m[key]; ok {
 		c.hits++
 		c.countersFor(key.Pipeline).hit.Inc()
-		return e.res, e.stats, nil
+		return art, nil
 	}
-	res, stats, err := build()
+	art, err := build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.misses++
 	c.countersFor(key.Pipeline).miss.Inc()
-	c.m[key] = cacheEntry{res: res, stats: stats}
-	return res, stats, nil
+	c.m[key] = art
+	return art, nil
 }
 
 // cacheCounter resolves the shared cache-event counter. The pipeline
@@ -149,8 +143,8 @@ func (c *TranspileCache) PassStats() []compile.Stats {
 	defer c.mu.Unlock()
 	var order []string
 	agg := make(map[string]*compile.Stats)
-	for _, e := range c.m {
-		for _, st := range e.stats {
+	for _, art := range c.m {
+		for _, st := range art.Stats {
 			a, ok := agg[st.Pass]
 			if !ok {
 				order = append(order, st.Pass)

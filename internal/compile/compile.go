@@ -17,7 +17,7 @@
 // native span bookkeeping stays exact. Passes after decompose transform
 // the native circuit; once one changes it, the source/span bookkeeping
 // cannot survive, so the pipeline re-wraps the final native circuit as
-// its own source (exactly what the routed-experiment path always did).
+// its own source.
 // The terminal fuse pass materializes the fused execution plan and
 // reports its segment statistics.
 package compile
@@ -144,7 +144,11 @@ type Artifact struct {
 	// the logical circuit and Spans are exact; otherwise the native
 	// circuit is its own source (identity spans).
 	Result *transpile.Result
-	// Routed carries the layout bookkeeping when the route pass ran.
+	// Routed carries the layout bookkeeping when the route pass ran:
+	// the routed circuit on the compacted physical register (see
+	// compactRouted), with InitialLayout and FinalLayout in those
+	// compacted indices. A run embeds its input through InitialLayout
+	// and measures each logical qubit at its FinalLayout home.
 	Routed *layout.Routed
 	// Stats holds one entry per executed pass, in pipeline order.
 	Stats []Stats
@@ -250,7 +254,7 @@ func (p *Pipeline) Compile(c *circuit.Circuit) (*Artifact, error) {
 			next = res.Circuit()
 			st = measure(PassDecompose, cur, next)
 		case PassRoute:
-			routed := layout.Route(cur, p.coupling, nil)
+			routed := compactRouted(layout.Route(cur, p.coupling, nil))
 			next = routed.Circuit
 			st = measure(PassRoute, cur, lowerSwaps(next))
 			st.Swaps = routed.SwapCount
@@ -298,6 +302,46 @@ func (p *Pipeline) Compile(c *circuit.Circuit) (*Artifact, error) {
 	art.Result = p.finalResult(res, cur, nativeChanged)
 	art.NativeDepth = lowerSwaps(cur).Depth()
 	return art, nil
+}
+
+// compactRouted renumbers the routed circuit's physical qubits to the
+// ones it uses — every qubit a routed op touches plus every
+// InitialLayout qubit — in ascending physical order, and maps both
+// layouts along. Idle device qubits never change an outcome but would
+// widen every simulated register (27 heavy-hex qubits are 2 GiB of
+// amplitudes). On a device the circuit fills, the map is the identity.
+func compactRouted(r *layout.Routed) *layout.Routed {
+	used := make([]bool, r.Circuit.NumQubits)
+	for _, op := range r.Circuit.Ops {
+		for _, q := range op.Active() {
+			used[q] = true
+		}
+	}
+	for _, p := range r.InitialLayout {
+		used[p] = true
+	}
+	compact := make([]int, len(used))
+	n := 0
+	for p, u := range used {
+		compact[p] = -1
+		if u {
+			compact[p] = n
+			n++
+		}
+	}
+	remap := func(lay []int) []int {
+		out := make([]int, len(lay))
+		for l, p := range lay {
+			out[l] = compact[p]
+		}
+		return out
+	}
+	return &layout.Routed{
+		Circuit:       r.Circuit.Remapped(n, compact),
+		InitialLayout: remap(r.InitialLayout),
+		FinalLayout:   remap(r.FinalLayout),
+		SwapCount:     r.SwapCount,
+	}
 }
 
 // lowerSwaps returns c with each routing SWAP lowered to its 3 CX, so

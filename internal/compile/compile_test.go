@@ -8,8 +8,10 @@ import (
 	"qfarith/internal/arith"
 	"qfarith/internal/circuit"
 	"qfarith/internal/gate"
+	"qfarith/internal/layout"
 	"qfarith/internal/mat"
 	"qfarith/internal/qft"
+	"qfarith/internal/sim"
 	"qfarith/internal/testutil"
 	"qfarith/internal/transpile"
 )
@@ -349,6 +351,64 @@ func TestRoutePass(t *testing.T) {
 		if !gate.IsNative(op.Kind) {
 			t.Fatalf("non-native gate %s survived the routed pipeline", op.Kind)
 		}
+	}
+}
+
+// TestRouteCompactsIdleDeviceQubits routes the paper's 15-qubit adder
+// onto the 27-qubit heavy-hex device. The artifact keeps exactly the
+// physical qubits the routed ops or the initial layout use, and a basis
+// input embedded through InitialLayout leaves the sum at the
+// FinalLayout homes of the sum register.
+func TestRouteCompactsIdleDeviceQubits(t *testing.T) {
+	const xbits, ybits = 7, 8
+	c := arith.NewQFA(xbits, ybits, arith.Config{Depth: qft.Full, AddCut: arith.FullAdd})
+	art := mustCompile(t, Config{
+		Passes:   []string{PassDecompose, PassRoute, PassFuse},
+		Coupling: "heavyhex27",
+		Debug:    true,
+	}, c)
+
+	full := layout.Route(transpile.Transpile(c).Circuit(), layout.HeavyHexFalcon27(), nil)
+	used := map[int]bool{}
+	for _, op := range full.Circuit.Ops {
+		for _, q := range op.Active() {
+			used[q] = true
+		}
+	}
+	for _, p := range full.InitialLayout {
+		used[p] = true
+	}
+	if art.Result.NumQubits != len(used) || art.Routed.Circuit.NumQubits != len(used) {
+		t.Fatalf("compacted register %d (routed %d), want the %d used device qubits",
+			art.Result.NumQubits, art.Routed.Circuit.NumQubits, len(used))
+	}
+	if art.Routed.SwapCount != full.SwapCount {
+		t.Errorf("swap count %d, want %d", art.Routed.SwapCount, full.SwapCount)
+	}
+
+	x, y := 77, 200
+	in, out := 0, 0
+	for l, p := range art.Routed.InitialLayout {
+		if (x|y<<xbits)>>l&1 == 1 {
+			in |= 1 << p
+		}
+	}
+	want := (x + y) & (1<<ybits - 1)
+	for i := 0; i < ybits; i++ {
+		if want>>i&1 == 1 {
+			out |= 1 << art.Routed.FinalLayout[xbits+i]
+		}
+	}
+	for l, p := range art.Routed.FinalLayout[:xbits] {
+		if x>>l&1 == 1 {
+			out |= 1 << p
+		}
+	}
+	st := sim.NewState(art.Result.NumQubits)
+	st.SetBasis(in)
+	st.ApplyCircuit(art.Result.Circuit())
+	if p := st.Probability(out); math.Abs(p-1) > 1e-9 {
+		t.Errorf("P(x, x+y at the final layout) = %g, want 1", p)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestPanelAdmissionBoundsCellsInFlight(t *testing.T) {
 	pc := admissionPanel(10)
 	const workers = 2
 	tb := newTraceBackend(pc)
-	if _, err := experiment.RunPanelCtx(context.Background(), backend.NewRunner(tb, workers), pc, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), backend.NewRunner(tb, workers), pc, experiment.PanelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.maxLive > workers+1 {
@@ -117,7 +117,7 @@ func TestPanelCellsCompleteInGridOrder(t *testing.T) {
 	pc := admissionPanel(10)
 	const workers = 2
 	tb := newTraceBackend(pc)
-	if _, err := experiment.RunPanelCtx(context.Background(), backend.NewRunner(tb, workers), pc, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), backend.NewRunner(tb, workers), pc, experiment.PanelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.doneOrder) != len(pc.Rates) {
@@ -154,7 +154,7 @@ func TestPanelCancelKeepsCompletedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = experiment.RunPanelCheckpointCtx(ctx, backend.NewRunner(tb, workers), pc, "p", run, nil)
+	_, err = experiment.RunPanel(ctx, backend.NewRunner(tb, workers), pc, experiment.PanelOptions{Label: "p", Checkpoint: run})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -201,7 +201,7 @@ func TestPanelCancelWhileWaitingForWindow(t *testing.T) {
 	done := make(chan error, 1)
 	calls := 0
 	go func() {
-		_, err := experiment.RunPanelCtx(ctx, backend.NewRunner(hb, 1), pc, func(experiment.Progress) { calls++ })
+		_, err := experiment.RunPanel(ctx, backend.NewRunner(hb, 1), pc, experiment.PanelOptions{Progress: func(experiment.Progress) { calls++ }})
 		done <- err
 	}()
 	<-hb.started
@@ -216,7 +216,7 @@ func TestPanelCancelWhileWaitingForWindow(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunPanelCtx did not return after cancellation — deadlock")
+		t.Fatal("RunPanel did not return after cancellation — deadlock")
 	}
 	if calls != 0 {
 		t.Errorf("%d cells completed while every instance was held", calls)

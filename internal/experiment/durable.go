@@ -1,12 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-
-	"qfarith/internal/backend"
-	"qfarith/internal/layout"
 )
 
 // CheckpointStore is the durable per-point log a resumable sweep
@@ -36,63 +32,16 @@ func decodePoint(key string, raw json.RawMessage) (PointResult, error) {
 	return pr, nil
 }
 
-// RunPanelCheckpointCtx is RunPanelCtx with durable per-point
-// checkpointing: grid cells already present in ck (under
-// PointKey(panel, rateIdx, depthIdx)) are restored instead of re-run,
-// and every newly completed cell is appended to ck before it counts as
-// done, so an interrupt between progress callbacks loses nothing.
-//
-// Resume invariant: because every cell's RNG streams derive only from
-// (PanelConfig.Seed, grid coordinates) — never from scheduling order —
-// a resumed panel's result is identical to an uninterrupted run's.
-// Restored cells fire progress callbacks with FromCheckpoint set and
-// count toward Progress.Restored (never Fresh), so trackers can report
-// them without folding their near-zero latency into rate estimates.
-func RunPanelCheckpointCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel string, ck CheckpointStore, progress ProgressFunc) (PanelResult, error) {
-	return runPanel(ctx, r, cfg, panel, Shard{}, ck, progress)
-}
-
-// RunPointCkptCtx is RunPointCtx behind a checkpoint: if key is already
-// in ck the stored result is returned without simulating; otherwise the
-// point runs and is durably recorded before returning.
-func RunPointCkptCtx(ctx context.Context, r *backend.Runner, cfg PointConfig, key string, ck CheckpointStore) (PointResult, error) {
-	if ck != nil {
-		if raw, ok := ck.LookupPoint(key); ok {
-			pointsRestored.Inc()
-			return decodePoint(key, raw)
-		}
+// lookupPoint restores the point checkpointed under key, counting it
+// as restored. ok is false when ck holds no such point.
+func lookupPoint(ck CheckpointStore, key string) (pr PointResult, ok bool, err error) {
+	raw, ok := ck.LookupPoint(key)
+	if !ok {
+		return PointResult{}, false, nil
 	}
-	pr, err := RunPointCtx(ctx, r, cfg)
-	if err != nil {
-		return PointResult{}, err
+	if pr, err = decodePoint(key, raw); err != nil {
+		return PointResult{}, false, err
 	}
-	if ck != nil {
-		if err := ck.AppendPoint(key, pr); err != nil {
-			return PointResult{}, err
-		}
-	}
-	return pr, nil
-}
-
-// RunRoutedPointCkptCtx is RunRoutedPointCtx behind a checkpoint, with
-// the same contract as RunPointCkptCtx: routed ablation points are the
-// slowest single points in the suite, so a killed topology sweep
-// resumes without repeating finished topologies.
-func RunRoutedPointCkptCtx(ctx context.Context, r *backend.Runner, cfg PointConfig, cm *layout.CouplingMap, key string, ck CheckpointStore) (PointResult, error) {
-	if ck != nil {
-		if raw, ok := ck.LookupPoint(key); ok {
-			pointsRestored.Inc()
-			return decodePoint(key, raw)
-		}
-	}
-	pr, err := RunRoutedPointCtx(ctx, r, cfg, cm)
-	if err != nil {
-		return PointResult{}, err
-	}
-	if ck != nil {
-		if err := ck.AppendPoint(key, pr); err != nil {
-			return PointResult{}, err
-		}
-	}
-	return pr, nil
+	pointsRestored.Inc()
+	return pr, true, nil
 }

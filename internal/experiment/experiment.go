@@ -129,16 +129,10 @@ func PaperSubGeometry() Geometry { return SubGeometry(7, 8) }
 // Fig. 4 register sizes with the sign-corrected multiplier.
 func PaperSignedMulGeometry() Geometry { return SignedMulGeometry(4, 4) }
 
-// BuildCircuit constructs the operation's circuit at AQFT depth d.
+// BuildCircuit constructs the operation's native circuit at AQFT
+// depth d with full addition steps.
 func (g Geometry) BuildCircuit(d int) *transpile.Result {
-	cfg := arith.Config{Depth: d, AddCut: arith.FullAdd}
-	return g.BuildCircuitCfg(cfg)
-}
-
-// BuildCircuitCfg constructs the circuit with full arithmetic config
-// (exposes the add-step cutoff for the ablation experiment).
-func (g Geometry) BuildCircuitCfg(cfg arith.Config) *transpile.Result {
-	return transpile.Transpile(g.LogicalCircuit(cfg))
+	return transpile.Transpile(g.LogicalCircuit(arith.Config{Depth: d, AddCut: arith.FullAdd}))
 }
 
 // LogicalCircuit constructs the operation's logical (pre-compilation)
@@ -213,8 +207,9 @@ type PointResult struct {
 	Paper2q        int
 }
 
-// splitSeed derives a decorrelated stream seed with SplitMix64.
-func splitSeed(base, idx uint64) uint64 {
+// SplitSeed derives a decorrelated stream seed with SplitMix64 — the
+// one seed-splitting rule of every sweep, point and instance stream.
+func SplitSeed(base, idx uint64) uint64 {
 	z := base + 0x9e3779b97f4a7c15*(idx+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -240,7 +235,7 @@ func sampleDistinct(rng *rand.Rand, k, n int) []int {
 
 // instanceOperands draws the operand values for instance idx of a row.
 func (cfg PointConfig) instanceOperands(idx int) (xs, ys []int) {
-	rng := rand.New(rand.NewPCG(splitSeed(cfg.RowSeed, uint64(idx)), 0x5851f42d4c957f2d))
+	rng := rand.New(rand.NewPCG(SplitSeed(cfg.RowSeed, uint64(idx)), 0x5851f42d4c957f2d))
 	xs = sampleDistinct(rng, cfg.OrderX, 1<<uint(cfg.Geometry.XBits))
 	ys = sampleDistinct(rng, cfg.OrderY, 1<<uint(cfg.Geometry.YBits))
 	return
@@ -288,67 +283,71 @@ func (g Geometry) cacheKey(acfg arith.Config, pcfg compile.Config) backend.Circu
 	}
 }
 
-// defaultRunner builds a single-use trajectory runner for the legacy
-// (context-free) entry points.
-func defaultRunner(workers int) *backend.Runner {
-	return backend.NewRunner(backend.NewTrajectoryBackend(), workers)
+// PointOptions selects how RunPoint runs one point beyond its config.
+type PointOptions struct {
+	// AddCut is the addition-step rotation cutoff (arith.Config.AddCut,
+	// the E6 ablation knob); 0 means arith.FullAdd.
+	AddCut int
+	// Key names the point inside Checkpoint.
+	Key string
+	// Checkpoint, when non-nil, makes the point durable: a point already
+	// stored under Key is returned without simulating, and a freshly run
+	// point is recorded under Key before RunPoint returns.
+	Checkpoint CheckpointStore
 }
 
-// RunPoint simulates every instance of one point and aggregates the
-// paper's statistics, on a private trajectory-backend runner with
-// cfg.Workers slots. Sweeps should prefer RunPointCtx with a shared
-// Runner, which adds cancellation, backend selection, and transpile
-// caching across points.
-func RunPoint(cfg PointConfig) PointResult {
-	r, err := RunPointCtx(context.Background(), defaultRunner(cfg.Workers), cfg)
-	if err != nil {
-		// Unreachable for the trajectory backend with a background
-		// context; fail loudly rather than return a zero result.
-		panic("experiment: " + err.Error())
-	}
-	return r
-}
-
-// RunPointCfg is RunPoint with an explicit arithmetic config (ablations).
-func RunPointCfg(cfg PointConfig, acfg arith.Config) PointResult {
-	r, err := RunPointCfgCtx(context.Background(), defaultRunner(cfg.Workers), cfg, acfg)
-	if err != nil {
-		panic("experiment: " + err.Error())
-	}
-	return r
-}
-
-// RunPointCtx simulates one plotted point on the given runner: the
-// point's operand instances are submitted to the runner's shared worker
-// pool and evaluated by its backend. Cancelling ctx stops scheduling
-// further instances and returns ctx.Err().
-func RunPointCtx(ctx context.Context, r *backend.Runner, cfg PointConfig) (PointResult, error) {
-	return RunPointCfgCtx(ctx, r, cfg, arith.Config{Depth: cfg.Depth, AddCut: arith.FullAdd})
-}
-
-// RunPointCfgCtx is RunPointCtx with an explicit arithmetic config. The
-// point's circuit is compiled through cfg.Pipeline (memoized in the
-// runner's cache under the pipeline hash); an invalid pipeline or a
-// debug-mode verification failure surfaces as an error.
-func RunPointCfgCtx(ctx context.Context, r *backend.Runner, cfg PointConfig, acfg arith.Config) (PointResult, error) {
-	res, _, err := r.Cache().GetCompiled(cfg.Geometry.cacheKey(acfg, cfg.Pipeline), func() (*transpile.Result, []compile.Stats, error) {
-		art, err := cfg.Geometry.BuildArtifact(acfg, cfg.Pipeline)
-		if err != nil {
-			return nil, nil, err
+// RunPoint simulates every operand instance of one plotted point on the
+// runner's shared worker pool and aggregates the paper's statistics.
+// The circuit compiles through cfg.Pipeline, memoized in the runner's
+// cache under the pipeline hash; an invalid pipeline or a debug-mode
+// verification failure surfaces as an error. Cancelling ctx stops
+// scheduling further instances and returns ctx.Err().
+func RunPoint(ctx context.Context, r *backend.Runner, cfg PointConfig, opts PointOptions) (PointResult, error) {
+	if opts.Checkpoint != nil {
+		if pr, ok, err := lookupPoint(opts.Checkpoint, opts.Key); ok || err != nil {
+			return pr, err
 		}
-		return art.Result, art.Stats, nil
+	}
+	addCut := opts.AddCut
+	if addCut == 0 {
+		addCut = arith.FullAdd
+	}
+	pr, err := runPoint(ctx, r, cfg, addCut)
+	if err == nil && opts.Checkpoint != nil {
+		err = opts.Checkpoint.AppendPoint(opts.Key, pr)
+	}
+	if err != nil {
+		return PointResult{}, err
+	}
+	return pr, nil
+}
+
+// runPoint is the one instance loop every point runs through. When the
+// pipeline routed the circuit, each instance's input embeds through the
+// artifact's InitialLayout and the measured register is read at its
+// FinalLayout homes; otherwise the logical register indices are the
+// physical ones and no instance pays for a remap.
+func runPoint(ctx context.Context, r *backend.Runner, cfg PointConfig, addCut int) (PointResult, error) {
+	acfg := arith.Config{Depth: cfg.Depth, AddCut: addCut}
+	art, err := r.Cache().GetCompiled(cfg.Geometry.cacheKey(acfg, cfg.Pipeline), func() (*compile.Artifact, error) {
+		return cfg.Geometry.BuildArtifact(acfg, cfg.Pipeline)
 	})
 	if err != nil {
 		return PointResult{}, err
 	}
-	return runPointOn(ctx, r, cfg, res)
-}
-
-func runPointOn(ctx context.Context, r *backend.Runner, cfg PointConfig, res *transpile.Result) (PointResult, error) {
 	srun, err := cfg.newScorerRun()
 	if err != nil {
 		return PointResult{}, err
 	}
+	pl := placement{measure: cfg.Geometry.OutReg}
+	if art.Routed != nil {
+		pl.initial = art.Routed.InitialLayout
+		pl.measure = make([]int, len(cfg.Geometry.OutReg))
+		for i, l := range cfg.Geometry.OutReg {
+			pl.measure[i] = art.Routed.FinalLayout[l]
+		}
+	}
+	res := art.Result
 	sp := telemetry.StartSpan(pointSec)
 	results := make([]metrics.InstanceResult, cfg.Instances)
 	var (
@@ -356,7 +355,7 @@ func runPointOn(ctx context.Context, r *backend.Runner, cfg PointConfig, res *tr
 		diag     backend.Diagnostics
 	)
 	err = r.Do(ctx, cfg.Instances, func(idx int) error {
-		ir, d, err := cfg.runInstance(ctx, r.Backend(), res, idx, srun)
+		ir, d, err := cfg.runInstance(ctx, r.Backend(), res, pl, idx, srun)
 		if err != nil {
 			return err
 		}
@@ -390,24 +389,52 @@ func runPointOn(ctx context.Context, r *backend.Runner, cfg PointConfig, res *tr
 	}, nil
 }
 
+// placement maps a point's logical registers onto the compiled
+// circuit's qubits: measure lists the physical qubits read out (LSB
+// first), and a non-nil initial is the routed InitialLayout every input
+// term embeds through.
+type placement struct {
+	measure []int
+	initial []int
+}
+
+// embedIndex maps a logical basis-state index onto the physical
+// register according to the initial layout: the physical index has bit
+// initialLayout[l] set for each set bit l of the logical index.
+// Unmapped physical qubits stay |0>.
+func embedIndex(logical int, initialLayout []int) int {
+	p := 0
+	for l, phys := range initialLayout {
+		if logical>>uint(l)&1 == 1 {
+			p |= 1 << uint(phys)
+		}
+	}
+	return p
+}
+
 // runInstance evaluates one operand instance through the backend and
 // scores the sampled shots with the paper's metric. Every per-instance
 // buffer — the sparse input terms and the sampling/scoring tail's
 // histogram, correct-set, and sampler — comes from the instance scratch
 // pool, so a warm sweep allocates nothing here beyond what the backend
 // returns.
-func (cfg PointConfig) runInstance(ctx context.Context, b backend.Backend, res *transpile.Result, idx int, srun *scorerRun) (metrics.InstanceResult, backend.Diagnostics, error) {
+func (cfg PointConfig) runInstance(ctx context.Context, b backend.Backend, res *transpile.Result, pl placement, idx int, srun *scorerRun) (metrics.InstanceResult, backend.Diagnostics, error) {
 	xs, ys := cfg.instanceOperands(idx)
 	sc := getInstanceScratch()
 	defer putInstanceScratch(sc)
 	sc.terms = cfg.initialTerms(sc.terms, xs, ys)
+	if pl.initial != nil {
+		for i := range sc.terms {
+			sc.terms[i].Index = embedIndex(sc.terms[i].Index, pl.initial)
+		}
+	}
 	dist, diag, err := b.Run(ctx, backend.PointSpec{
 		Circuit:      res,
 		Model:        cfg.Model,
 		Initial:      sc.terms,
-		Measure:      cfg.Geometry.OutReg,
+		Measure:      pl.measure,
 		Trajectories: cfg.Trajectories,
-		Seed1:        splitSeed(cfg.PointSeed, uint64(idx)),
+		Seed1:        SplitSeed(cfg.PointSeed, uint64(idx)),
 		Seed2:        mixtureSeed2,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiment_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -26,9 +27,31 @@ func smallAddPoint(model noise.Model, orderX, orderY int) experiment.PointConfig
 	}
 }
 
+// runPoint runs cfg on a fresh trajectory runner with cfg.Workers
+// slots.
+func runPoint(t testing.TB, cfg experiment.PointConfig) experiment.PointResult {
+	t.Helper()
+	r, err := experiment.RunPoint(context.Background(), newTrajRunner(cfg.Workers), cfg, experiment.PointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// runPanel runs pc on a fresh trajectory runner with its budget's
+// worker count.
+func runPanel(t testing.TB, pc experiment.PanelConfig, progress experiment.ProgressFunc) experiment.PanelResult {
+	t.Helper()
+	res, err := experiment.RunPanel(context.Background(), newTrajRunner(pc.Budget.Workers), pc, experiment.PanelOptions{Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestNoiselessAdditionAlwaysSucceeds(t *testing.T) {
 	for _, orders := range [][2]int{{1, 1}, {1, 2}, {2, 2}} {
-		r := experiment.RunPoint(smallAddPoint(noise.Noiseless, orders[0], orders[1]))
+		r := runPoint(t, smallAddPoint(noise.Noiseless, orders[0], orders[1]))
 		if r.Stats.SuccessRate != 100 {
 			t.Errorf("orders %v: noiseless full-depth success %.1f%%, want 100%%", orders, r.Stats.SuccessRate)
 		}
@@ -40,7 +63,7 @@ func TestNoiselessAdditionAlwaysSucceeds(t *testing.T) {
 
 func TestExtremeNoiseDestroysSuccess(t *testing.T) {
 	cfg := smallAddPoint(noise.PaperModel(0.2, 0.3), 2, 2)
-	r := experiment.RunPoint(cfg)
+	r := runPoint(t, cfg)
 	if r.Stats.SuccessRate > 50 {
 		t.Errorf("extreme noise success %.1f%%, expected collapse", r.Stats.SuccessRate)
 	}
@@ -51,13 +74,13 @@ func TestExtremeNoiseDestroysSuccess(t *testing.T) {
 
 func TestDeterministicGivenSeeds(t *testing.T) {
 	cfg := smallAddPoint(noise.PaperModel(0.01, 0.01), 1, 2)
-	a := experiment.RunPoint(cfg)
-	b := experiment.RunPoint(cfg)
+	a := runPoint(t, cfg)
+	b := runPoint(t, cfg)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Errorf("same seeds gave different stats: %+v vs %+v", a.Stats, b.Stats)
 	}
 	cfg.PointSeed++
-	c := experiment.RunPoint(cfg)
+	c := runPoint(t, cfg)
 	// Different noise seed may coincidentally match, but the margin mean
 	// almost surely differs.
 	if reflect.DeepEqual(a.Stats, c.Stats) {
@@ -73,8 +96,8 @@ func TestRowSeedFixesOperandsAcrossColumns(t *testing.T) {
 	a := smallAddPoint(noise.Noiseless, 2, 2)
 	b := a
 	b.PointSeed = 999
-	ra := experiment.RunPoint(a)
-	rb := experiment.RunPoint(b)
+	ra := runPoint(t, a)
+	rb := runPoint(t, b)
 	if ra.Stats.Successes != rb.Stats.Successes {
 		t.Errorf("operand sharing broken: %d vs %d successes", ra.Stats.Successes, rb.Stats.Successes)
 	}
@@ -93,7 +116,7 @@ func TestMulPointSmall(t *testing.T) {
 		RowSeed:      7,
 		PointSeed:    8,
 	}
-	r := experiment.RunPoint(cfg)
+	r := runPoint(t, cfg)
 	if r.Stats.SuccessRate != 100 {
 		t.Errorf("noiseless 2:2 multiplication success %.1f%%, want 100%%", r.Stats.SuccessRate)
 	}
@@ -113,8 +136,8 @@ func TestDepthOneDegradesNoiselessAddition(t *testing.T) {
 	}
 	d1 := full
 	d1.Depth = 1
-	rFull := experiment.RunPoint(full)
-	rD1 := experiment.RunPoint(d1)
+	rFull := runPoint(t, full)
+	rD1 := runPoint(t, d1)
 	if rFull.Stats.SuccessRate != 100 {
 		t.Errorf("full depth noiseless: %.1f%%", rFull.Stats.SuccessRate)
 	}
@@ -131,7 +154,7 @@ func TestGateCountsReportedMatchTable(t *testing.T) {
 		OrderX:   1, OrderY: 1,
 		Instances: 1, Shots: 16, Trajectories: 1,
 	}
-	r := experiment.RunPoint(cfg)
+	r := runPoint(t, cfg)
 	if r.Paper1q != 199 || r.Paper2q != 122 {
 		t.Errorf("paper counts (%d, %d), want (199, 122)", r.Paper1q, r.Paper2q)
 	}
@@ -148,7 +171,7 @@ func TestPanelCSVAndTable(t *testing.T) {
 		Seed:   42,
 	}
 	calls := 0
-	res := experiment.RunPanel(pc, func(p experiment.Progress) {
+	res := runPanel(t, pc, func(p experiment.Progress) {
 		calls++
 		if p.Total != 4 {
 			t.Errorf("total = %d, want 4", p.Total)
@@ -180,8 +203,8 @@ func TestWorkerParallelismMatchesSerial(t *testing.T) {
 	serial.Workers = 1
 	parallel := cfg
 	parallel.Workers = 4
-	rs := experiment.RunPoint(serial)
-	rp := experiment.RunPoint(parallel)
+	rs := runPoint(t, serial)
+	rp := runPoint(t, parallel)
 	if !reflect.DeepEqual(rs.Stats, rp.Stats) {
 		t.Errorf("parallel instances changed results: %+v vs %+v", rs.Stats, rp.Stats)
 	}
@@ -200,8 +223,8 @@ func TestDepthLabel(t *testing.T) {
 }
 
 func TestExpectedErrorsScaleWithRate(t *testing.T) {
-	lo := experiment.RunPoint(smallAddPoint(noise.PaperModel(0.001, 0), 1, 1))
-	hi := experiment.RunPoint(smallAddPoint(noise.PaperModel(0.002, 0), 1, 1))
+	lo := runPoint(t, smallAddPoint(noise.PaperModel(0.001, 0), 1, 1))
+	hi := runPoint(t, smallAddPoint(noise.PaperModel(0.002, 0), 1, 1))
 	ratio := hi.ExpectedErrors / lo.ExpectedErrors
 	if math.Abs(ratio-2) > 1e-9 {
 		t.Errorf("expected errors should scale linearly with rate: ratio %g", ratio)

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"qfarith/internal/compile"
+	"qfarith/internal/metrics"
 )
 
 // SweepSpec is the hashed identity of a figure sweep: every field that
@@ -112,4 +114,149 @@ func (s SweepSpec) Panels(pipeline compile.Config, workers int) (panels []PanelJ
 		}
 	}
 	return panels, allKeys
+}
+
+// SweepRequest is a sweep as a user asks for it, before validation. The
+// qfarith sweep flags and the qfarithd job payload both fill it field
+// for field, and Spec is the one place either is checked. Zero values
+// take the CLI defaults.
+type SweepRequest struct {
+	Command string
+	// Budget is quick|standard|full ("" = standard); positive
+	// Instances, Shots and Trajectories override it field by field.
+	Budget                         string
+	Instances, Shots, Trajectories int
+	// Seed is used as given: the daemon maps its 0 to the CLI default
+	// before validation, the CLI keeps an explicit -seed 0.
+	Seed uint64
+	// Axis is 1q|2q|both ("" = both).
+	Axis string
+	// Orders is the comma-separated operand-order list ("" =
+	// "1:1,1:2,2:2").
+	Orders string
+	// RatesPct overrides both error-rate grids, in percent; empty keeps
+	// the paper grids.
+	RatesPct []float64
+	// Scorers names success metrics; margin is always on and dropped,
+	// duplicates are dropped, order is kept.
+	Scorers  []string
+	Backend  string
+	Pipeline compile.Config
+}
+
+// Spec validates the request into the sweep's hashed identity. A
+// command FigureSweep knows gets its geometry and depth legend, and its
+// operand orders are checked against the operand registers; any other
+// command (claim-2q, ablate-addcut) leaves Geometry and Depths to the
+// caller.
+func (q SweepRequest) Spec() (SweepSpec, error) {
+	s := SweepSpec{Command: q.Command, Seed: q.Seed, Backend: q.Backend, Pipeline: q.Pipeline.Hash()}
+	geo, depths, figure := FigureSweep(q.Command)
+	if figure {
+		s.Geometry, s.Depths = geo, depths
+	}
+	var b Budget
+	switch q.Budget {
+	case "quick":
+		b = Quick
+	case "", "standard":
+		b = Standard
+	case "full":
+		b = Full
+	default:
+		return SweepSpec{}, fmt.Errorf("unknown budget %q (want quick, standard or full)", q.Budget)
+	}
+	if q.Instances < 0 || q.Shots < 0 || q.Trajectories < 0 {
+		return SweepSpec{}, fmt.Errorf("instances/shots/trajectories must be positive")
+	}
+	s.Instances, s.Shots, s.Traj = b.Instances, b.Shots, b.Trajectories
+	if q.Instances > 0 {
+		s.Instances = q.Instances
+	}
+	if q.Shots > 0 {
+		s.Shots = q.Shots
+	}
+	if q.Trajectories > 0 {
+		s.Traj = q.Trajectories
+	}
+
+	switch q.Axis {
+	case "1q":
+		s.Axes = []ErrorAxis{Axis1Q}
+	case "2q":
+		s.Axes = []ErrorAxis{Axis2Q}
+	case "", "both":
+		s.Axes = []ErrorAxis{Axis1Q, Axis2Q}
+	default:
+		return SweepSpec{}, fmt.Errorf("unknown axis %q (want 1q, 2q or both)", q.Axis)
+	}
+
+	orders := q.Orders
+	if orders == "" {
+		orders = "1:1,1:2,2:2"
+	}
+	for _, tok := range strings.Split(orders, ",") {
+		var ox, oy int
+		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d:%d", &ox, &oy); err != nil {
+			return SweepSpec{}, fmt.Errorf("bad orders token %q (want e.g. 1:2)", tok)
+		}
+		if ox < 1 || oy < 1 {
+			return SweepSpec{}, fmt.Errorf("orders must be >= 1, got %d:%d", ox, oy)
+		}
+		if figure && (ox > 1<<uint(geo.XBits) || oy > 1<<uint(geo.YBits)) {
+			return SweepSpec{}, fmt.Errorf("orders %d:%d exceed the %d- and %d-bit operand registers", ox, oy, geo.XBits, geo.YBits)
+		}
+		s.Orders = append(s.Orders, [2]int{ox, oy})
+	}
+
+	s.Rates1Q, s.Rates2Q = PaperRates1Q, PaperRates2Q
+	if len(q.RatesPct) > 0 {
+		grid, err := RateGrid(q.RatesPct)
+		if err != nil {
+			return SweepSpec{}, err
+		}
+		s.Rates1Q, s.Rates2Q = grid, grid
+	}
+
+	var err error
+	if s.Scorers, err = ExtraScorers(q.Scorers); err != nil {
+		return SweepSpec{}, err
+	}
+	return s, nil
+}
+
+// ExtraScorers validates requested scorer names into the extra-scorer
+// list a PointConfig carries. The paper's margin scoring is always on
+// (its columns are the frozen CSV schema), so "margin" and blanks are
+// dropped, as are duplicates; order is kept. An empty result keeps a
+// sweep on the historical margin-only output, byte for byte.
+func ExtraScorers(names []string) ([]string, error) {
+	var extras []string
+	seen := map[string]bool{}
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "" || name == "margin" || seen[name] {
+			continue
+		}
+		if _, ok := metrics.LookupScorer(name); !ok {
+			return nil, fmt.Errorf("unknown scorer %q (registered: %s)",
+				name, strings.Join(metrics.ScorerNames(), ","))
+		}
+		seen[name] = true
+		extras = append(extras, name)
+	}
+	return extras, nil
+}
+
+// RateGrid converts error rates in percent to the fractions a sweep
+// runs, refusing any rate outside [0, 100).
+func RateGrid(pcts []float64) ([]float64, error) {
+	grid := make([]float64, len(pcts))
+	for i, pct := range pcts {
+		if !(pct >= 0 && pct < 100) {
+			return nil, fmt.Errorf("rate %g%% out of range [0, 100)", pct)
+		}
+		grid[i] = pct / 100
+	}
+	return grid, nil
 }

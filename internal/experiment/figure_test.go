@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"qfarith/internal/compile"
@@ -17,13 +19,13 @@ import (
 // binary; it must never change. New fields must be `json:",omitempty"`.
 func TestSweepSpecWireFormatFrozen(t *testing.T) {
 	spec := SweepSpec{
-		Command:  "fig3",
-		Geometry: PaperAddGeometry(),
-		Depths:   AddDepths,
-		Axes:     []ErrorAxis{Axis2Q},
-		Orders:   [][2]int{{1, 2}},
-		Rates1Q:  PaperRates1Q,
-		Rates2Q:  PaperRates2Q,
+		Command:   "fig3",
+		Geometry:  PaperAddGeometry(),
+		Depths:    AddDepths,
+		Axes:      []ErrorAxis{Axis2Q},
+		Orders:    [][2]int{{1, 2}},
+		Rates1Q:   PaperRates1Q,
+		Rates2Q:   PaperRates2Q,
 		Instances: 8, Shots: 512, Traj: 8,
 		Seed: 777, Backend: "trajectory",
 		Pipeline: compile.Config{}.Hash(),
@@ -79,10 +81,10 @@ func TestPanelsEnumeration(t *testing.T) {
 	geo, depths, _ := FigureSweep("fig3")
 	spec := SweepSpec{
 		Command: "fig3", Geometry: geo, Depths: depths,
-		Axes:    []ErrorAxis{Axis1Q, Axis2Q},
-		Orders:  [][2]int{{1, 1}, {2, 2}},
-		Rates1Q: []float64{0, 0.002},
-		Rates2Q: []float64{0, 0.01, 0.02},
+		Axes:      []ErrorAxis{Axis1Q, Axis2Q},
+		Orders:    [][2]int{{1, 1}, {2, 2}},
+		Rates1Q:   []float64{0, 0.002},
+		Rates2Q:   []float64{0, 0.01, 0.02},
 		Instances: 4, Shots: 64, Traj: 2, Seed: 9,
 	}
 	panels, keys := spec.Panels(compile.Config{}, 3)
@@ -115,5 +117,62 @@ func TestPanelsEnumeration(t *testing.T) {
 	}
 	if keys[0] != PointKey("fig3_1q_11", 0, 0) {
 		t.Errorf("first key = %q", keys[0])
+	}
+}
+
+// TestSweepRequestRefusals: the one sweep validator behind the CLI
+// flags and the daemon's job API refuses each malformed field with an
+// error naming it, never a panic downstream.
+func TestSweepRequestRefusals(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		req  SweepRequest
+		want string
+	}{
+		{"order zero", SweepRequest{Command: "fig3", Orders: "0:2"}, "orders must be >= 1"},
+		{"order token", SweepRequest{Command: "fig3", Orders: "1:x"}, `bad orders token "1:x"`},
+		{"order too wide", SweepRequest{Command: "fig4", Orders: "1:17"}, "exceed"},
+		{"rate 150", SweepRequest{Command: "fig3", RatesPct: []float64{1, 150}}, "rate 150% out of range"},
+		{"rate -1", SweepRequest{Command: "fig3", RatesPct: []float64{-1}}, "rate -1% out of range"},
+		{"axis", SweepRequest{Command: "fig3", Axis: "3q"}, `unknown axis "3q"`},
+		{"budget", SweepRequest{Command: "fig3", Budget: "huge"}, `unknown budget "huge"`},
+		{"scorer", SweepRequest{Command: "fig3", Scorers: []string{"margin", "nope"}}, `unknown scorer "nope"`},
+		{"negative", SweepRequest{Command: "fig3", Shots: -1}, "must be positive"},
+	} {
+		_, err := c.req.Spec()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSweepRequestDefaults: an empty request is the CLI's default
+// sweep, and extra scorers are deduplicated with margin dropped.
+func TestSweepRequestDefaults(t *testing.T) {
+	got, err := SweepRequest{
+		Command: "fig4", Seed: 20260704, Backend: "trajectory",
+		Scorers: []string{"margin", " xeb", "xeb", ""},
+	}.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SweepSpec{
+		Command: "fig4", Geometry: PaperMulGeometry(), Depths: MulDepths,
+		Axes:    []ErrorAxis{Axis1Q, Axis2Q},
+		Orders:  [][2]int{{1, 1}, {1, 2}, {2, 2}},
+		Rates1Q: PaperRates1Q, Rates2Q: PaperRates2Q,
+		Instances: Standard.Instances, Shots: Standard.Shots, Traj: Standard.Trajectories,
+		Seed: 20260704, Backend: "trajectory",
+		Pipeline: compile.Config{}.Hash(),
+		Scorers:  []string{"xeb"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("default spec:\n got %+v\nwant %+v", got, want)
+	}
+	// A non-figure command validates the same fields but leaves the
+	// geometry to its caller.
+	other, err := SweepRequest{Command: "claim-2q"}.Spec()
+	if err != nil || other.Depths != nil || other.Geometry.TotalQubits != 0 {
+		t.Errorf("claim-2q spec = %+v, %v; want no geometry", other, err)
 	}
 }

@@ -32,11 +32,11 @@ func TestPanelParallelMatchesSerial(t *testing.T) {
 	pc := smallSweepPanel()
 	serial := backend.NewRunner(backend.NewTrajectoryBackend(), 1)
 	wide := backend.NewRunner(backend.NewTrajectoryBackend(), 8)
-	rs, err := experiment.RunPanelCtx(context.Background(), serial, pc, nil)
+	rs, err := experiment.RunPanel(context.Background(), serial, pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := experiment.RunPanelCtx(context.Background(), wide, pc, nil)
+	rp, err := experiment.RunPanel(context.Background(), wide, pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPanelParallelMatchesSerial(t *testing.T) {
 func TestPanelSharesTranspileCache(t *testing.T) {
 	pc := smallSweepPanel()
 	r := backend.NewRunner(backend.NewTrajectoryBackend(), 2)
-	if _, err := experiment.RunPanelCtx(context.Background(), r, pc, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), r, pc, experiment.PanelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := r.Cache().Stats()
@@ -63,7 +63,7 @@ func TestPanelSharesTranspileCache(t *testing.T) {
 }
 
 // TestPanelCancellationMidGrid cancels the context from a progress
-// callback partway through the grid: RunPanelCtx must return ctx.Err()
+// callback partway through the grid: RunPanel must return ctx.Err()
 // promptly instead of completing all points or deadlocking.
 func TestPanelCancellationMidGrid(t *testing.T) {
 	pc := smallSweepPanel()
@@ -76,14 +76,14 @@ func TestPanelCancellationMidGrid(t *testing.T) {
 	completed := 0
 	done := make(chan error, 1)
 	go func() {
-		_, err := experiment.RunPanelCtx(ctx, r, pc, func(p experiment.Progress) {
+		_, err := experiment.RunPanel(ctx, r, pc, experiment.PanelOptions{Progress: func(p experiment.Progress) {
 			mu.Lock()
 			completed = p.Done
 			mu.Unlock()
 			if p.Done == 2 {
 				cancel()
 			}
-		})
+		}})
 		done <- err
 	}()
 
@@ -93,7 +93,7 @@ func TestPanelCancellationMidGrid(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("RunPanelCtx did not return after cancellation — deadlock")
+		t.Fatal("RunPanel did not return after cancellation — deadlock")
 	}
 	mu.Lock()
 	got := completed
@@ -110,7 +110,7 @@ func TestPanelPreCancelled(t *testing.T) {
 	cancel()
 	r := backend.NewRunner(backend.NewTrajectoryBackend(), 2)
 	calls := 0
-	_, err := experiment.RunPanelCtx(ctx, r, smallSweepPanel(), func(experiment.Progress) { calls++ })
+	_, err := experiment.RunPanel(ctx, r, smallSweepPanel(), experiment.PanelOptions{Progress: func(experiment.Progress) { calls++ }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -127,7 +127,7 @@ func TestDensityRunnerOnPanel(t *testing.T) {
 	pc.Depths = []int{qft.Full}
 	pc.Budget = experiment.Budget{Instances: 2, Shots: 128, Trajectories: 1}
 	r := backend.NewRunner(backend.NewDensityBackend(), 2)
-	res, err := experiment.RunPanelCtx(context.Background(), r, pc, nil)
+	res, err := experiment.RunPanel(context.Background(), r, pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

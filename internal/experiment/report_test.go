@@ -19,7 +19,7 @@ func smallPanel(t *testing.T) experiment.PanelResult {
 		Budget: experiment.Budget{Instances: 4, Shots: 128, Trajectories: 4},
 		Seed:   9,
 	}
-	return experiment.RunPanel(pc, nil)
+	return runPanel(t, pc, nil)
 }
 
 func TestOptimalDepths(t *testing.T) {

@@ -64,7 +64,7 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 	const panel = "fig3_test"
 
 	// Reference: uninterrupted run, no checkpointing.
-	ref, err := experiment.RunPanelCtx(context.Background(), newTrajRunner(2), pc, nil)
+	ref, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,11 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 	gate := &gateBackend{Backend: backend.NewTrajectoryBackend(), open: 2, points: map[gateKey]bool{}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = experiment.RunPanelCheckpointCtx(ctx, backend.NewRunner(gate, total*pc.Budget.Instances), pc, panel, run,
-		func(p experiment.Progress) {
-			if p.Done >= 2 {
-				cancel()
-			}
-		})
+	_, err = experiment.RunPanel(ctx, backend.NewRunner(gate, total*pc.Budget.Instances), pc, experiment.PanelOptions{Label: panel, Checkpoint: run, Progress: func(p experiment.Progress) {
+		if p.Done >= 2 {
+			cancel()
+		}
+	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
@@ -112,17 +111,16 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	fresh, fromCkpt := 0, 0
-	res, err := experiment.RunPanelCheckpointCtx(context.Background(), newTrajRunner(2), pc, panel, resumed,
-		func(p experiment.Progress) {
-			if p.FromCheckpoint {
-				fromCkpt++
-			} else {
-				fresh++
-			}
-			if p.Done != p.Fresh+p.Restored {
-				t.Errorf("Done = %d, want Fresh+Restored = %d", p.Done, p.Fresh+p.Restored)
-			}
-		})
+	res, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: panel, Checkpoint: resumed, Progress: func(p experiment.Progress) {
+		if p.FromCheckpoint {
+			fromCkpt++
+		} else {
+			fresh++
+		}
+		if p.Done != p.Fresh+p.Restored {
+			t.Errorf("Done = %d, want Fresh+Restored = %d", p.Done, p.Fresh+p.Restored)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +146,18 @@ func TestPanelCheckpointFullRerunIsFree(t *testing.T) {
 	}
 	defer run.Close()
 
-	first, err := experiment.RunPanelCheckpointCtx(context.Background(), newTrajRunner(4), pc, "p", run, nil)
+	first, err := experiment.RunPanel(context.Background(), newTrajRunner(4), pc, experiment.PanelOptions{Label: "p", Checkpoint: run})
 	if err != nil {
 		t.Fatal(err)
 	}
 	freshCalls, restoredCalls := 0, 0
-	second, err := experiment.RunPanelCheckpointCtx(context.Background(), newTrajRunner(4), pc, "p", run,
-		func(p experiment.Progress) {
-			if p.FromCheckpoint {
-				restoredCalls++
-			} else {
-				freshCalls++
-			}
-		})
+	second, err := experiment.RunPanel(context.Background(), newTrajRunner(4), pc, experiment.PanelOptions{Label: "p", Checkpoint: run, Progress: func(p experiment.Progress) {
+		if p.FromCheckpoint {
+			restoredCalls++
+		} else {
+			freshCalls++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +185,7 @@ func (f *failStore) AppendPoint(key string, payload any) error  { return f.err }
 func TestPanelCheckpointAppendFailureSurfaces(t *testing.T) {
 	pc := smallSweepPanel()
 	wantErr := errors.New("disk full")
-	_, err := experiment.RunPanelCheckpointCtx(context.Background(), newTrajRunner(2), pc, "p", &failStore{err: wantErr}, nil)
+	_, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: "p", Checkpoint: &failStore{err: wantErr}})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want the injected append failure", err)
 	}

@@ -28,12 +28,12 @@ func TestSignedPointsNoiselessSucceed(t *testing.T) {
 		Instances: 6, Shots: 256, Trajectories: 6,
 		RowSeed: 11, PointSeed: 13,
 	}
-	if r := experiment.RunPoint(sub); r.Stats.SuccessRate != 100 {
+	if r := runPoint(t, sub); r.Stats.SuccessRate != 100 {
 		t.Errorf("noiseless subtraction success %.1f%%, want 100%%", r.Stats.SuccessRate)
 	}
 	smul := sub
 	smul.Geometry = experiment.SignedMulGeometry(2, 2)
-	if r := experiment.RunPoint(smul); r.Stats.SuccessRate != 100 {
+	if r := runPoint(t, smul); r.Stats.SuccessRate != 100 {
 		t.Errorf("noiseless signed multiplication success %.1f%%, want 100%%", r.Stats.SuccessRate)
 	}
 }
@@ -52,11 +52,11 @@ func TestPointScorersMatchBaseStats(t *testing.T) {
 		Instances: 6, Shots: 256, Trajectories: 6,
 		RowSeed: 21, PointSeed: 23,
 	}
-	ref := experiment.RunPoint(base)
+	ref := runPoint(t, base)
 
 	scored := base
 	scored.Scorers = []string{"margin", "xeb", "roundtrip"}
-	r := experiment.RunPoint(scored)
+	r := runPoint(t, scored)
 
 	st := r.Stats
 	st.Extra = nil
@@ -99,7 +99,7 @@ func TestPointScorersMatchBaseStats(t *testing.T) {
 func TestPanelScorerCSVRoundTrip(t *testing.T) {
 	pc := smallSweepPanel()
 	pc.Scorers = []string{"xeb", "roundtrip"}
-	res := experiment.RunPanel(pc, nil)
+	res := runPanel(t, pc, nil)
 
 	csv := res.CSV()
 	header := csv[:strings.IndexByte(csv, '\n')]
@@ -176,7 +176,7 @@ func TestSignedShardedPanelMerge(t *testing.T) {
 	}
 	const panel = "fig3signed_test"
 
-	ref, err := experiment.RunPanelCtx(context.Background(), newTrajRunner(2), pc, nil)
+	ref, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSignedShardedPanelMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := experiment.RunPanelShardCheckpointCtx(context.Background(), newTrajRunner(2), pc, panel, shard, run, nil); err != nil {
+		if _, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: panel, Shard: shard, Checkpoint: run}); err != nil {
 			t.Fatal(err)
 		}
 		run.Close()

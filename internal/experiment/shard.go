@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"strings"
-
-	"qfarith/internal/backend"
 )
 
 // Shard identifies one partition of a sharded sweep: the shard owns
@@ -98,15 +95,6 @@ func (cfg PanelConfig) Keys(panel string) []string {
 		}
 	}
 	return keys
-}
-
-// RunPanelShardCheckpointCtx is RunPanelCheckpointCtx restricted to the
-// grid cells the shard owns: unowned cells are neither run nor
-// restored and stay zero in the result, and Progress.Total counts only
-// owned cells. Merge the shards' run directories (runstore.MergeRuns)
-// and rebuild with PanelFromCheckpoints to recover the full panel.
-func RunPanelShardCheckpointCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel string, shard Shard, ck CheckpointStore, progress ProgressFunc) (PanelResult, error) {
-	return runPanel(ctx, r, cfg, panel, shard, ck, progress)
 }
 
 // PanelFromCheckpoints rebuilds a panel purely from a checkpoint store

@@ -77,7 +77,7 @@ func TestShardedPanelsMergeByteIdentical(t *testing.T) {
 	pc := smallSweepPanel()
 	const panel = "fig3_test"
 
-	ref, err := experiment.RunPanelCtx(context.Background(), newTrajRunner(2), pc, nil)
+	ref, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,12 @@ func TestShardedPanelsMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		progressed := 0
-		res, err := experiment.RunPanelShardCheckpointCtx(context.Background(), newTrajRunner(2), pc, panel, shard, run,
-			func(p experiment.Progress) {
-				progressed++
-				if want := len(shard.OwnedKeys(pc.Keys(panel))); p.Total != want {
-					t.Errorf("shard %s Progress.Total = %d, want %d owned cells", shard, p.Total, want)
-				}
-			})
+		res, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: panel, Shard: shard, Checkpoint: run, Progress: func(p experiment.Progress) {
+			progressed++
+			if want := len(shard.OwnedKeys(pc.Keys(panel))); p.Total != want {
+				t.Errorf("shard %s Progress.Total = %d, want %d owned cells", shard, p.Total, want)
+			}
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +154,11 @@ func TestShardedPanelsMergeByteIdentical(t *testing.T) {
 
 	// Resuming the merged run must restore every cell and re-run none.
 	fresh := 0
-	res2, err := experiment.RunPanelCheckpointCtx(context.Background(), newTrajRunner(2), pc, panel, mrun,
-		func(p experiment.Progress) {
-			if !p.FromCheckpoint {
-				fresh++
-			}
-		})
+	res2, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: panel, Checkpoint: mrun, Progress: func(p experiment.Progress) {
+		if !p.FromCheckpoint {
+			fresh++
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +182,7 @@ func TestPanelFromCheckpointsReportsMissing(t *testing.T) {
 	}
 	defer run.Close()
 	shard := experiment.Shard{Index: 0, Count: 3}
-	if _, err := experiment.RunPanelShardCheckpointCtx(context.Background(), newTrajRunner(2), pc, panel, shard, run, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{Label: panel, Shard: shard, Checkpoint: run}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := experiment.PanelFromCheckpoints(pc, panel, run); err == nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"qfarith/internal/arith"
 	"qfarith/internal/backend"
 	"qfarith/internal/circuit"
 	"qfarith/internal/compile"
@@ -129,8 +130,8 @@ func (cfg PanelConfig) PointAt(rate float64, depth int) PointConfig {
 		Instances:    cfg.Budget.Instances,
 		Shots:        cfg.Budget.Shots,
 		Trajectories: cfg.Budget.Trajectories,
-		RowSeed:      splitSeed(cfg.Seed, uint64(cfg.OrderX)<<8|uint64(cfg.OrderY)),
-		PointSeed:    splitSeed(cfg.Seed, hashPoint(cfg.Axis, rate, depth, cfg.OrderX, cfg.OrderY)),
+		RowSeed:      SplitSeed(cfg.Seed, uint64(cfg.OrderX)<<8|uint64(cfg.OrderY)),
+		PointSeed:    SplitSeed(cfg.Seed, hashPoint(cfg.Axis, rate, depth, cfg.OrderX, cfg.OrderY)),
 		Workers:      cfg.Budget.Workers,
 		Pipeline:     cfg.Pipeline,
 		Scorers:      cfg.Scorers,
@@ -162,40 +163,54 @@ type Progress struct {
 // shared state without further synchronization — but must not block.
 type ProgressFunc func(Progress)
 
-// RunPanel sweeps all (rate, depth) combinations of a panel on a
-// private trajectory-backend runner. Progress callbacks fire after each
-// completed point when progress is non-nil. Sweeps that want
-// cancellation, backend selection, or a shared worker pool should call
-// RunPanelCtx.
-func RunPanel(cfg PanelConfig, progress ProgressFunc) PanelResult {
-	res, err := RunPanelCtx(context.Background(), defaultRunner(cfg.Budget.Workers), cfg, progress)
-	if err != nil {
-		panic("experiment: " + err.Error())
-	}
-	return res
+// PanelOptions selects how RunPanel runs a panel beyond its config.
+type PanelOptions struct {
+	// Label names the panel's cells inside Checkpoint and for Shard
+	// ownership: cell (i, j) is PointKey(Label, i, j).
+	Label string
+	// Shard restricts the sweep to the cells it owns; unowned cells are
+	// neither run nor restored, stay zero in the result, and are
+	// excluded from Progress.Total. Merge the shards' run directories
+	// (runstore.MergeRuns) and rebuild with PanelFromCheckpoints to
+	// recover the full panel. The zero value owns every cell.
+	Shard Shard
+	// Checkpoint, when non-nil, makes the panel durable: cells already
+	// stored are restored instead of re-run, and every fresh cell is
+	// recorded before it counts as done, so an interrupt between
+	// progress callbacks loses nothing.
+	Checkpoint CheckpointStore
+	// Progress, when non-nil, observes every completed cell.
+	Progress ProgressFunc
 }
 
-// RunPanelCtx sweeps all (rate, depth) combinations of a panel on the
-// given runner. Grid points are admitted in grid order through a window
-// of Workers()+1 points; each admitted point runs as a coordinator
+// RunPanelCtx is RunPanel without checkpoint or shard. It remains only
+// for the perfbench module, which pins it; it goes when perfbench next
+// changes.
+func RunPanelCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, progress ProgressFunc) (PanelResult, error) {
+	return RunPanel(ctx, r, cfg, PanelOptions{Progress: progress})
+}
+
+// RunPanelCheckpointCtx is RunPanel with a checkpoint. It remains only
+// for the perfbench module, which pins it; it goes when perfbench next
+// changes.
+func RunPanelCheckpointCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel string, ck CheckpointStore, progress ProgressFunc) (PanelResult, error) {
+	return RunPanel(ctx, r, cfg, PanelOptions{Label: panel, Checkpoint: ck, Progress: progress})
+}
+
+// RunPanel sweeps all (rate, depth) combinations of a panel on the
+// given runner. Each admitted grid point runs as a coordinator
 // goroutine whose operand instances draw from the runner's single
 // bounded worker pool, so panel-level and instance-level parallelism
-// share one slot budget and cells complete roughly in grid order.
-// Results land at their (rate, depth) grid index, so output ordering —
-// and therefore CSV bytes — is independent of scheduling.
+// share one slot budget. Results land at their (rate, depth) grid
+// index, so output ordering — and therefore CSV bytes — is independent
+// of scheduling.
 //
-// Cancelling ctx stops the sweep mid-grid: no new points are admitted,
-// no new instances are scheduled, in-flight instances drain, and
-// ctx.Err() is returned.
-func RunPanelCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, progress ProgressFunc) (PanelResult, error) {
-	return runPanel(ctx, r, cfg, "", Shard{}, nil, progress)
-}
-
-// runPanel is the shared panel core: the plain path (ck == nil) and
-// the durable checkpoint/resume path (RunPanelCheckpointCtx) differ
-// only in whether cells are restored from / recorded into ck. A shard
-// with Count > 1 restricts the sweep to the cells it owns; unowned
-// cells stay zero in the result and are excluded from Progress.Total.
+// Resume invariant: because every cell's RNG streams derive only from
+// (PanelConfig.Seed, grid coordinates) — never from scheduling order —
+// a resumed panel's result is identical to an uninterrupted run's.
+// Restored cells fire progress callbacks with FromCheckpoint set and
+// count toward Progress.Restored (never Fresh), so trackers can report
+// them without folding their near-zero latency into rate estimates.
 //
 // Fresh cells are admitted in grid order through a window of
 // W = r.Workers()+1 points. Starting every cell at once would queue all
@@ -206,7 +221,12 @@ func RunPanelCtx(ctx context.Context, r *backend.Runner, cfg PanelConfig, progre
 // last instances drain. A cell leaves the window when its instances are
 // done, before its checkpoint append, so the next cell's instances
 // queue while the append's fsync runs.
-func runPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, panel string, shard Shard, ck CheckpointStore, progress ProgressFunc) (PanelResult, error) {
+//
+// Cancelling ctx stops the sweep mid-grid: no new points are admitted,
+// no new instances are scheduled, in-flight instances drain, and
+// ctx.Err() is returned.
+func RunPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, opts PanelOptions) (PanelResult, error) {
+	panel, shard, ck, progress := opts.Label, opts.Shard, opts.Checkpoint, opts.Progress
 	out := PanelResult{Config: cfg, Points: make([][]PointResult, len(cfg.Rates))}
 	for i := range out.Points {
 		out.Points[i] = make([]PointResult, len(cfg.Depths))
@@ -257,16 +277,16 @@ grid:
 				continue
 			}
 			if ck != nil {
-				if raw, ok := ck.LookupPoint(key); ok {
-					pr, err := decodePoint(key, raw)
+				pr, ok, err := lookupPoint(ck, key)
+				if err != nil {
 					mu.Lock()
-					if err != nil {
-						fail(err)
-						mu.Unlock()
-						break grid
-					}
+					fail(err)
+					mu.Unlock()
+					break grid
+				}
+				if ok {
+					mu.Lock()
 					out.Points[i][j] = pr
-					pointsRestored.Inc()
 					done++
 					restored++
 					if progress != nil {
@@ -282,7 +302,7 @@ grid:
 			wg.Add(1)
 			go func(i, j int, key string, pc PointConfig) {
 				defer wg.Done()
-				pr, err := RunPointCtx(ctx, r, pc)
+				pr, err := runPoint(ctx, r, pc, arith.FullAdd)
 				<-window
 				if err == nil && ck != nil {
 					// Record before acknowledging: a crash after the
@@ -312,15 +332,15 @@ grid:
 }
 
 // hashPoint derives a point-seed discriminator from the sweep
-// coordinates by chaining splitSeed over each field. The previous
+// coordinates by chaining SplitSeed over each field. The previous
 // shift-packed XOR (uint64(rate*1e7) folded into depth/order bits) could
 // collide for nearby grid points; chaining a SplitMix64 round per field
 // decorrelates every coordinate.
 func hashPoint(axis ErrorAxis, rate float64, depth, ox, oy int) uint64 {
-	h := splitSeed(uint64(axis), math.Float64bits(rate))
-	h = splitSeed(h, uint64(depth))
-	h = splitSeed(h, uint64(ox))
-	return splitSeed(h, uint64(oy))
+	h := SplitSeed(uint64(axis), math.Float64bits(rate))
+	h = SplitSeed(h, uint64(depth))
+	h = SplitSeed(h, uint64(ox))
+	return SplitSeed(h, uint64(oy))
 }
 
 // DepthLabel renders a depth for tables/legends ("full" for qft.Full).

@@ -139,7 +139,7 @@ func (cfg PointConfig) sampleAndScore(sc *instanceScratch, idx int, xs, ys []int
 
 // sampleSeeds derives instance idx's shot-sampler seeds.
 func (cfg PointConfig) sampleSeeds(idx int) (uint64, uint64) {
-	return splitSeed(cfg.PointSeed, uint64(idx)^0xabcdef), uint64(idx)
+	return SplitSeed(cfg.PointSeed, uint64(idx)^0xabcdef), uint64(idx)
 }
 
 // SampleAndScore is the exported form of the instance tail for

@@ -58,7 +58,7 @@ func TestRunPointSamplerEquivalence(t *testing.T) {
 			dist, diag, err := b.Run(context.Background(), backend.PointSpec{
 				Circuit: res, Model: cfg.Model, Initial: cfg.initialTerms(nil, xs, ys),
 				Measure: geo.OutReg, Trajectories: cfg.Trajectories,
-				Seed1: splitSeed(cfg.PointSeed, uint64(idx)), Seed2: mixtureSeed2,
+				Seed1: SplitSeed(cfg.PointSeed, uint64(idx)), Seed2: mixtureSeed2,
 			})
 			if err != nil {
 				t.Fatal(err)

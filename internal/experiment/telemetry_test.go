@@ -70,7 +70,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	url := "http://" + srv.Addr() + "/metrics"
 
 	pc := smallSweepPanel()
-	if _, err := experiment.RunPanelCtx(context.Background(), newTrajRunner(2), pc, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	first := scrapeMetrics(t, url)
@@ -96,7 +96,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// A second panel on a fresh runner must strictly advance the
 	// cumulative counters and the histogram count.
-	if _, err := experiment.RunPanelCtx(context.Background(), newTrajRunner(2), pc, nil); err != nil {
+	if _, err := experiment.RunPanel(context.Background(), newTrajRunner(2), pc, experiment.PanelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	second := scrapeMetrics(t, url)

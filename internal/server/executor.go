@@ -18,7 +18,7 @@ import (
 )
 
 // SweepExecutor runs jobs through the exact machinery the CLI uses:
-// SweepSpec.Panels enumerates the grid, RunPanelCheckpointCtx computes
+// SweepSpec.Panels enumerates the grid, experiment.RunPanel computes
 // it against a checkpoint log in an ordinary runstore run directory,
 // and runstore.WriteArtifact writes the final CSVs. Nothing in the path
 // knows it is running under a daemon, which is what makes an
@@ -107,8 +107,10 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 
 	for _, pj := range panels {
 		label := pj.Label
-		res, err := experiment.RunPanelCheckpointCtx(ctx, e.Runner, pj.Config, label, run,
-			func(p experiment.Progress) { j.observe(label, p) })
+		res, err := experiment.RunPanel(ctx, e.Runner, pj.Config, experiment.PanelOptions{
+			Label: label, Checkpoint: run,
+			Progress: func(p experiment.Progress) { j.observe(label, p) },
+		})
 		if err != nil {
 			return fmt.Errorf("panel %s: %w", label, err)
 		}

@@ -14,13 +14,10 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"qfarith/internal/compile"
 	"qfarith/internal/experiment"
-	"qfarith/internal/metrics"
 )
 
 // JobState is a job's lifecycle phase.
@@ -97,105 +94,24 @@ type JobRequest struct {
 const defaultSeed = 20260704
 
 // Spec validates the request into the sweep's hashed identity — the
-// exact struct the CLI hashes, with the daemon's backend name filled
+// exact struct the CLI hashes, through the same validator
+// (experiment.SweepRequest.Spec), with the daemon's backend name filled
 // in. Every validation failure is a client error (HTTP 400).
 func (r JobRequest) Spec(backendName string) (experiment.SweepSpec, error) {
-	geo, depths, ok := experiment.FigureSweep(r.Command)
-	if !ok {
+	if _, _, ok := experiment.FigureSweep(r.Command); !ok {
 		return experiment.SweepSpec{}, fmt.Errorf("unknown command %q (want fig3, fig4, fig3-signed or fig4-signed)", r.Command)
 	}
-	var b experiment.Budget
-	switch r.Budget {
-	case "quick":
-		b = experiment.Quick
-	case "", "standard":
-		b = experiment.Standard
-	case "full":
-		b = experiment.Full
-	default:
-		return experiment.SweepSpec{}, fmt.Errorf("unknown budget %q (want quick, standard or full)", r.Budget)
-	}
-	if r.Instances < 0 || r.Shots < 0 || r.Trajectories < 0 {
-		return experiment.SweepSpec{}, fmt.Errorf("instances/shots/trajectories must be positive")
-	}
-	if r.Instances > 0 {
-		b.Instances = r.Instances
-	}
-	if r.Shots > 0 {
-		b.Shots = r.Shots
-	}
-	if r.Trajectories > 0 {
-		b.Trajectories = r.Trajectories
-	}
-
-	var axes []experiment.ErrorAxis
-	switch r.Axis {
-	case "1q":
-		axes = []experiment.ErrorAxis{experiment.Axis1Q}
-	case "2q":
-		axes = []experiment.ErrorAxis{experiment.Axis2Q}
-	case "", "both":
-		axes = []experiment.ErrorAxis{experiment.Axis1Q, experiment.Axis2Q}
-	default:
-		return experiment.SweepSpec{}, fmt.Errorf("unknown axis %q (want 1q, 2q or both)", r.Axis)
-	}
-
-	ordersStr := r.Orders
-	if ordersStr == "" {
-		ordersStr = "1:1,1:2,2:2"
-	}
-	var orders [][2]int
-	for _, tok := range strings.Split(ordersStr, ",") {
-		var ox, oy int
-		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d:%d", &ox, &oy); err != nil {
-			return experiment.SweepSpec{}, fmt.Errorf("bad orders token %q (want e.g. 1:2)", tok)
-		}
-		if ox < 1 || oy < 1 {
-			return experiment.SweepSpec{}, fmt.Errorf("orders must be >= 1, got %d:%d", ox, oy)
-		}
-		orders = append(orders, [2]int{ox, oy})
-	}
-
-	rates1q, rates2q := experiment.PaperRates1Q, experiment.PaperRates2Q
-	if len(r.RatesPct) > 0 {
-		grid := make([]float64, len(r.RatesPct))
-		for i, pct := range r.RatesPct {
-			if pct < 0 || pct >= 100 {
-				return experiment.SweepSpec{}, fmt.Errorf("rate %g%% out of range", pct)
-			}
-			grid[i] = pct / 100
-		}
-		rates1q, rates2q = grid, grid
-	}
-
-	var extras []string
-	seen := map[string]bool{}
-	for _, name := range r.Scorers {
-		name = strings.TrimSpace(name)
-		if name == "" || name == "margin" || seen[name] {
-			continue
-		}
-		if _, ok := metrics.LookupScorer(name); !ok {
-			return experiment.SweepSpec{}, fmt.Errorf("unknown scorer %q (registered: %s)",
-				name, strings.Join(metrics.ScorerNames(), ","))
-		}
-		seen[name] = true
-		extras = append(extras, name)
-	}
-
 	seed := r.Seed
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	return experiment.SweepSpec{
-		Command: r.Command, Geometry: geo, Depths: depths,
-		Axes: axes, Orders: orders,
-		Rates1Q: rates1q, Rates2Q: rates2q,
-		Instances: b.Instances, Shots: b.Shots, Traj: b.Trajectories,
-		Seed: seed, Backend: backendName,
-		Pipeline: compile.Config{}.Hash(),
-		Scorers:  extras,
-	}, nil
+	return experiment.SweepRequest{
+		Command: r.Command, Budget: r.Budget,
+		Instances: r.Instances, Shots: r.Shots, Trajectories: r.Trajectories,
+		Seed: seed, Axis: r.Axis, Orders: r.Orders,
+		RatesPct: r.RatesPct, Scorers: r.Scorers,
+		Backend: backendName,
+	}.Spec()
 }
 
 // priority resolves the request's effective priority.

@@ -247,7 +247,7 @@ func TestServerJobByteIdentity(t *testing.T) {
 	if len(panels) != 1 {
 		t.Fatalf("expected 1 panel, got %d", len(panels))
 	}
-	res, err := experiment.RunPanelCheckpointCtx(context.Background(), s.exec.Runner, panels[0].Config, panels[0].Label, nil, nil)
+	res, err := experiment.RunPanel(context.Background(), s.exec.Runner, panels[0].Config, experiment.PanelOptions{Label: panels[0].Label})
 	if err != nil {
 		t.Fatal(err)
 	}
