@@ -78,7 +78,7 @@ func runThermal(args []string) {
 	telem.register(fs)
 	fs.Parse(args)
 	defer prof.start()()
-	defer telem.start("")()
+	defer telem.start(nil)()
 
 	geo := experiment.PaperAddGeometry()
 	res := geo.BuildCircuit(3)
@@ -119,7 +119,7 @@ func runAblateRouting(args []string) {
 	traj := fs.Int("traj", 24, "trajectories per instance")
 	p2 := fs.Float64("p2", 0.005, "2q depolarizing rate")
 	var common sweepCommon
-	common.register(fs)
+	common.register(fs, true)
 	fs.Parse(args)
 	defer common.prof.start()()
 	ro := common.validate(0)
@@ -155,13 +155,12 @@ func runAblateRouting(args []string) {
 	}
 	// Routed points are the slowest single points in the suite, so the
 	// topology loop checkpoints per topology when -rundir is given.
-	run := ro.openRun("ablate-routing", cfg, keys)
-	snapDir := ""
+	run := ro.open("ablate-routing", cfg, keys)
+	defer common.telem.start(run)()
+	var ck experiment.CheckpointStore
 	if run != nil {
-		snapDir = run.Dir()
+		ck = run
 	}
-	defer common.telem.start(snapDir)()
-	ck := checkpoint(run)
 	fmt.Printf("E7 — qubit-connectivity ablation (QFA n=8, d=3, 1:2, λ1=0.2%%, λ2=%.2f%%)\n", *p2*100)
 	fmt.Printf("%-22s %10s %10s %12s %12s\n", "topology", "CX", "swaps", "w0", "success")
 
@@ -225,7 +224,7 @@ func runScaling(args []string) {
 	widths := fs.String("n", "4,6,8,10", "comma-separated sum-register widths")
 	rates := fs.String("rates", "1,2,3", "comma-separated 2q error percentages")
 	var common sweepCommon
-	common.register(fs)
+	common.register(fs, true)
 	fs.Parse(args)
 	defer common.prof.start()()
 	ro := common.validate(0)
@@ -281,13 +280,12 @@ func runScaling(args []string) {
 			}
 		}
 	}
-	run := ro.openRun("scaling", spec, keys)
-	snapDir := ""
+	run := ro.open("scaling", spec, keys)
+	defer common.telem.start(run)()
+	var ck experiment.CheckpointStore
 	if run != nil {
-		snapDir = run.Dir()
+		ck = run
 	}
-	defer common.telem.start(snapDir)()
-	ck := checkpoint(run)
 
 	fmt.Printf("E10 — register-width scaling (1:2 QFA, %d instances, %d traj)\n", *instances, *traj)
 	fmt.Printf("%-4s %-8s %-28s %-10s %-10s\n", "n", "λ2q%", "success by depth 1,2,3,…,full", "best", "log2(n)")
@@ -355,7 +353,7 @@ func runShor(args []string) {
 	telem.register(fs)
 	fs.Parse(args)
 	defer prof.start()()
-	defer telem.start("")()
+	defer telem.start(nil)()
 
 	c, lay := arith.NewOrderFinding(*base, *modulus, *tbits, arith.DefaultConfig())
 	res := transpile.Transpile(c)

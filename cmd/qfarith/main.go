@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,15 +135,21 @@ type sweepCommon struct {
 	telem                           telemetryFlags
 }
 
-func (c *sweepCommon) register(fs *flag.FlagSet) {
+// register installs the shared flags on fs. Only a durable command
+// gets -rundir, -resume, -shard and -scorers; the others keep those
+// settings at their defaults, so passing one exits with status 2.
+func (c *sweepCommon) register(fs *flag.FlagSet, durable bool) {
 	c.backend = fs.String("backend", backend.DefaultName,
 		"execution backend: "+strings.Join(backend.Names(), "|"))
 	c.workers = fs.Int("workers", 0, "worker-pool size shared across points and instances (0 = GOMAXPROCS)")
-	c.rundir = fs.String("rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
-	c.resume = fs.Bool("resume", false, "resume the run in -rundir, skipping checkpointed points")
-	c.shard = fs.String("shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
-	c.scorers = fs.String("scorers", "margin",
-		"success metrics, comma-separated (registered: "+strings.Join(metrics.ScorerNames(), ",")+"); margin is always on, extras append CSV columns")
+	c.rundir, c.resume, c.shard, c.scorers = new(string), new(bool), new(string), new(string)
+	if durable {
+		fs.StringVar(c.rundir, "rundir", "", "durable run directory: manifest + per-point checkpoint log; artifacts land here")
+		fs.BoolVar(c.resume, "resume", false, "resume the run in -rundir, skipping checkpointed points")
+		fs.StringVar(c.shard, "shard", "", "run shard i/N of the grid (e.g. 0/3): only points whose key hashes to i mod N; requires -rundir, merge with merge-runs")
+		fs.StringVar(c.scorers, "scorers", "margin",
+			"success metrics, comma-separated (registered: "+strings.Join(metrics.ScorerNames(), ",")+"); margin is always on, extras append CSV columns")
+	}
 	c.passes = fs.String("passes", compile.DefaultString(),
 		"compilation pass list, comma-separated (known: "+strings.Join(compile.KnownPasses(), ",")+")")
 	c.coupling = fs.String("coupling", "",
@@ -230,12 +235,6 @@ type sweepFlags struct {
 	outDir string
 }
 
-// budget is the sweep's statistical effort plus its worker bound.
-func (sf *sweepFlags) budget() experiment.Budget {
-	return experiment.Budget{Instances: sf.spec.Instances, Shots: sf.spec.Shots,
-		Trajectories: sf.spec.Traj, Workers: *sf.common.workers}
-}
-
 // sweepContext returns a context cancelled by Ctrl-C / SIGTERM, so a
 // long sweep stops mid-grid cleanly instead of being killed.
 func sweepContext() (context.Context, context.CancelFunc) {
@@ -259,57 +258,20 @@ func exitSweepErr(err error, run *runstore.Run) {
 	exit(1)
 }
 
-// checkpoint returns run as a checkpoint store, or nil (not a typed
-// nil) when the sweep is not durable.
-func checkpoint(run *runstore.Run) experiment.CheckpointStore {
-	if run == nil {
-		return nil
-	}
-	return run
-}
-
-// openRun creates (or, with -resume, reopens and hash-verifies) the
-// sweep's durable run directory and registers its checkpoint log with
-// the exit path. Returns nil when -rundir is unset. keys is the full
-// grid's checkpoint-key list (all shards record the same full list);
-// it and the sweep spec are written as sidecars so merge-runs can
-// detect gaps and regenerate final CSVs without re-deriving the grid.
-func (ro runOpts) openRun(command string, spec any, keys []string) *runstore.Run {
+// open claims the sweep's run directory through runstore.Open — created,
+// or with -resume reopened and hash-verified — and registers its
+// checkpoint log with the exit path. Returns nil when -rundir is unset.
+// keys is the full grid's checkpoint-key list.
+func (ro runOpts) open(command string, spec any, keys []string) *runstore.Run {
 	if ro.rundir == "" {
 		return nil
 	}
-	hash, err := runstore.HashConfig(spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+	m := runstore.Manifest{Command: command, Seed: ro.seed, Backend: ro.backend,
+		Pipeline: ro.pipeline.Hash(), Shard: ro.shard.String()}
+	if !ro.resume {
+		m.GitDescribe = runstore.GitDescribe(".")
 	}
-	var run *runstore.Run
-	if ro.resume {
-		run, err = runstore.Resume(ro.rundir, hash)
-		if err == nil && run.Manifest().Shard != ro.shard.String() {
-			fmt.Fprintf(os.Stderr, "run %s was started as shard %q, current -shard is %q (refusing to change the partition mid-run)\n",
-				run.Dir(), run.Manifest().Shard, ro.shard.String())
-			exit(1)
-		}
-	} else {
-		run, err = runstore.Create(ro.rundir, runstore.Manifest{
-			Command: command, ConfigHash: hash, Seed: ro.seed,
-			Backend: ro.backend, Pipeline: ro.pipeline.Hash(),
-			GitDescribe: runstore.GitDescribe("."),
-			StartTime:   time.Now().UTC(),
-			Shard:       ro.shard.String(),
-		})
-		if err == nil {
-			if serr := runstore.WriteSpec(run.Dir(), spec); serr != nil {
-				fmt.Fprintln(os.Stderr, serr)
-				exit(1)
-			}
-			if serr := runstore.WriteExpectedKeys(run.Dir(), keys); serr != nil {
-				fmt.Fprintln(os.Stderr, serr)
-				exit(1)
-			}
-		}
-	}
+	run, err := runstore.Open(ro.rundir, m, spec, keys, ro.resume)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
@@ -324,9 +286,9 @@ func (ro runOpts) openRun(command string, spec any, keys []string) *runstore.Run
 	case ro.resume:
 		fmt.Printf("resuming run %s: %d checkpointed points restored\n", run.Dir(), run.Restored())
 	case ro.shard.Enabled():
-		fmt.Printf("run dir %s (config %s, shard %s of the grid)\n", run.Dir(), hash, ro.shard)
+		fmt.Printf("run dir %s (config %s, shard %s of the grid)\n", run.Dir(), run.Manifest().ConfigHash, ro.shard)
 	default:
-		fmt.Printf("run dir %s (config %s)\n", run.Dir(), hash)
+		fmt.Printf("run dir %s (config %s)\n", run.Dir(), run.Manifest().ConfigHash)
 	}
 	return run
 }
@@ -348,9 +310,12 @@ func parseList[T any](flagName, s string, parse func(string) (T, error)) []T {
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-// parseSweepFlags parses a figure-style sweep command's flags and
-// validates them through experiment.SweepRequest.Spec, the validator
-// qfarithd's job API shares; any refusal exits with status 2.
+// parseSweepFlags parses a panel sweep command's flags and validates
+// them through experiment.SweepRequest.Spec, the validator qfarithd's
+// job API shares; any refusal exits with status 2. Only a figure command
+// chooses its grid (-axis, -orders, -rates): claim-2q's is fixed, and
+// ablate-addcut, which runs single points, also has no -out or durable
+// run flags.
 func parseSweepFlags(args []string, name string) *sweepFlags {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	req := experiment.SweepRequest{Command: name}
@@ -359,12 +324,18 @@ func parseSweepFlags(args []string, name string) *sweepFlags {
 	fs.IntVar(&req.Shots, "shots", 0, "override shots per instance")
 	fs.IntVar(&req.Trajectories, "traj", 0, "override conditional trajectories per instance")
 	fs.Uint64Var(&req.Seed, "seed", 20260704, "base RNG seed")
-	fs.StringVar(&req.Axis, "axis", "both", "1q|2q|both")
-	fs.StringVar(&req.Orders, "orders", "1:1,1:2,2:2", "comma-separated operand orders")
-	rates := fs.String("rates", "", "override error-rate grid, comma-separated percentages (e.g. 1,2,3,5)")
+	rates := new(string)
+	if _, _, figure := experiment.FigureSweep(name); figure {
+		fs.StringVar(&req.Axis, "axis", "both", "1q|2q|both")
+		fs.StringVar(&req.Orders, "orders", "1:1,1:2,2:2", "comma-separated operand orders")
+		fs.StringVar(rates, "rates", "", "override error-rate grid, comma-separated percentages (e.g. 1,2,3,5)")
+	}
 	sf := &sweepFlags{}
-	fs.StringVar(&sf.outDir, "out", "results", "output directory for CSV files")
-	sf.common.register(fs)
+	durable := name != "ablate-addcut"
+	if durable {
+		fs.StringVar(&sf.outDir, "out", "results", "output directory for CSV files")
+	}
+	sf.common.register(fs, durable)
 	fs.Parse(args)
 	sf.runOpts = sf.common.validate(req.Seed)
 	req.Backend, req.Pipeline = sf.backend, sf.pipeline
@@ -378,6 +349,31 @@ func parseSweepFlags(args []string, name string) *sweepFlags {
 		exit(2)
 	}
 	return sf
+}
+
+// sweep runs sf.spec through experiment.RunSweep, the path qfarithd's
+// jobs take, against the run directory it opens with -rundir; CSVs land
+// there, or in -out without one. It leaves through exitSweepErr on
+// failure and hands the panels, in Panels order, to report before the
+// telemetry snapshot is written.
+func (sf *sweepFlags) sweep(runner *backend.Runner, progress func(experiment.SweepProgress), report func([]experiment.PanelResult)) {
+	_, keys := sf.spec.Panels(sf.pipeline, 0)
+	run := sf.open(sf.spec.Command, sf.spec, keys)
+	defer sf.common.telem.start(run)()
+	ctx, stop := sweepContext()
+	defer stop()
+	results, err := experiment.RunSweep(ctx, runner, sf.spec, experiment.SweepOptions{
+		Pipeline: sf.pipeline, Workers: *sf.common.workers,
+		Run: run, OutDir: sf.outDir, Progress: progress,
+	})
+	if err != nil {
+		exitSweepErr(err, run)
+	}
+	if sf.shard.Enabled() {
+		fmt.Printf("shard %s complete: %d points checkpointed in %s; merge with `qfarith merge-runs -out MERGED %s ...`\n",
+			sf.shard, len(sf.shard.OwnedKeys(keys)), run.Dir(), run.Dir())
+	}
+	report(results)
 }
 
 // printPassStats renders the per-pass compilation summary, summed over
@@ -408,95 +404,42 @@ func printPassStats(c *backend.TranspileCache) {
 func runFigure(args []string, name string) {
 	sf := parseSweepFlags(args, name)
 	defer sf.common.prof.start()()
-	// The panel set — and with it the full grid's checkpoint keys — is
-	// fixed before anything runs, so the key list can be recorded for
-	// merge-time gap detection and shard ownership filtering. The
-	// enumeration is shared with merge-runs and the qfarithd executor
-	// (experiment.SweepSpec.Panels), so every consumer agrees on panel
-	// labels, grid keys, and seeds.
-	spec := sf.spec
-	panels, allKeys := spec.Panels(sf.pipeline, *sf.common.workers)
-	run := sf.openRun(name, spec, allKeys)
-	artifactDir := sf.outDir
-	if run != nil {
-		artifactDir = run.Dir()
-	}
-	if err := os.MkdirAll(artifactDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	snapDir := ""
-	if run != nil {
-		snapDir = run.Dir()
-	}
-	defer sf.common.telem.start(snapDir)()
-	ctx, stop := sweepContext()
-	defer stop()
 	runner := sf.common.runner()
 	fmt.Printf("backend=%s workers=%d\n", runner.Backend().Name(), runner.Workers())
 	start := time.Now()
-	tracker := newSweepTracker(len(sf.shard.OwnedKeys(allKeys)))
+	tracker := newSweepTracker()
 	defer tracker.stop()
-	for _, pj := range panels {
-		label, pc := pj.Label, pj.Config
-		owned := len(sf.shard.OwnedKeys(pc.Keys(label)))
-		if sf.shard.Enabled() {
-			fmt.Printf("== panel %s (%d rates x %d depths; shard %s owns %d) ==\n",
-				label, len(pc.Rates), len(pc.Depths), sf.shard, owned)
-		} else {
-			fmt.Printf("== panel %s (%d rates x %d depths) ==\n", label, len(pc.Rates), len(pc.Depths))
+	progress := func(sp experiment.SweepProgress) {
+		tracker.observe(sp)
+		p := sp.Cell
+		if p.FromCheckpoint {
+			// open already announced the restored total; a line per
+			// restored cell would just scroll the terminal.
+			return
 		}
-		progress := func(p experiment.Progress) {
-			tracker.observe(p)
-			if p.FromCheckpoint {
-				// openRun already announced the restored total; a line
-				// per restored cell would just scroll the terminal.
-				return
+		fmt.Printf("  [%s %3d/%d] rate=%.2f%% d=%-4s -> %.1f%% success (elapsed %s)\n",
+			sp.Panel, p.Done, p.Total, p.Point.Config.SweptRate()*100,
+			experiment.DepthLabel(p.Point.Config.Depth, 8),
+			p.Point.Stats.SuccessRate, time.Since(start).Round(time.Second))
+	}
+	sf.sweep(runner, progress, func(results []experiment.PanelResult) {
+		if !sf.shard.Enabled() {
+			for _, res := range results {
+				c := res.Config
+				fmt.Printf("== panel %s ==\n", experiment.PanelLabel(name, c.Axis, c.OrderX, c.OrderY))
+				fmt.Println(res.Table())
+				fmt.Println(res.Plot())
 			}
-			fmt.Printf("  [%s %3d/%d] rate=%.2f%% d=%-4s -> %.1f%% success (elapsed %s)\n",
-				label, p.Done, p.Total, pointRate(p.Point)*100,
-				experiment.DepthLabel(p.Point.Config.Depth, 8),
-				p.Point.Stats.SuccessRate, time.Since(start).Round(time.Second))
 		}
-		res, err := experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{
-			Label: label, Shard: sf.shard, Checkpoint: checkpoint(run), Progress: progress,
-		})
-		if err != nil {
-			exitSweepErr(err, run)
+		hits, misses := runner.Cache().Stats()
+		fmt.Printf("transpile cache: %d built, %d reused\n", misses, hits)
+		printPassStats(runner.Cache())
+		if tb, ok := runner.Backend().(backend.EngineCacheStatser); ok {
+			eh, em, ev := tb.EngineCacheStats()
+			fmt.Printf("engine cache: %d built, %d reused, %d evicted\n", em, eh, ev)
 		}
-		if sf.shard.Enabled() {
-			// A shard's grid is partial by construction: writing a CSV
-			// with zero rows for unowned cells would only mislead.
-			// merge-runs regenerates the full CSVs from the union.
-			continue
-		}
-		path := filepath.Join(artifactDir, label+".csv")
-		if err := runstore.WriteArtifact(path, []byte(res.CSV())); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		fmt.Println(res.Table())
-		fmt.Println(res.Plot())
-	}
-	if sf.shard.Enabled() {
-		fmt.Printf("shard %s complete: %d points checkpointed in %s; merge with `qfarith merge-runs -out MERGED %s ...`\n",
-			sf.shard, len(sf.shard.OwnedKeys(allKeys)), run.Dir(), run.Dir())
-	}
-	hits, misses := runner.Cache().Stats()
-	fmt.Printf("transpile cache: %d built, %d reused\n", misses, hits)
-	printPassStats(runner.Cache())
-	if tb, ok := runner.Backend().(backend.EngineCacheStatser); ok {
-		eh, em, ev := tb.EngineCacheStats()
-		fmt.Printf("engine cache: %d built, %d reused, %d evicted\n", em, eh, ev)
-	}
-	fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Second))
-}
-
-func pointRate(r experiment.PointResult) float64 {
-	if r.Config.Model.TwoQubit > 0 {
-		return r.Config.Model.TwoQubit
-	}
-	return r.Config.Model.OneQubit
+		fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Second))
+	})
 }
 
 // ---------------------------------------------------------------- claim-2q
@@ -504,7 +447,7 @@ func pointRate(r experiment.PointResult) float64 {
 // runClaim2Q reproduces the conclusions' quantitative claim: at the
 // optimal depth, moving from 1:2 to 2:2 addition costs >50% accuracy at
 // the current 2q error rate (1.0%) but only a few percent at the
-// improved rate (0.7%).
+// improved rate (0.7%). Its sweep is the fixed claim-2q SweepSpec.
 func runClaim2Q(args []string) {
 	sf := parseSweepFlags(args, "claim-2q")
 	defer sf.common.prof.start()()
@@ -512,55 +455,24 @@ func runClaim2Q(args []string) {
 		fmt.Fprintln(os.Stderr, "claim-2q does not support -shard (its summary needs the full grid); shard fig3/fig4/scaling/ablate-routing instead")
 		exit(2)
 	}
-	spec := sf.spec
-	spec.Geometry, spec.Depths = experiment.PaperAddGeometry(), experiment.AddDepths
-	rates := []float64{0.007, 0.010}
-	spec.Rates1Q, spec.Rates2Q = rates, rates
-	spec.Orders = [][2]int{{1, 2}, {2, 2}}
-	var allKeys []string
-	for _, orders := range spec.Orders {
-		pc := experiment.PanelConfig{Rates: rates, Depths: spec.Depths}
-		allKeys = append(allKeys, pc.Keys(fmt.Sprintf("claim2q_%d%d", orders[0], orders[1]))...)
-	}
-	run := sf.openRun("claim-2q", spec, allKeys)
-	snapDir := ""
-	if run != nil {
-		snapDir = run.Dir()
-	}
-	defer sf.common.telem.start(snapDir)()
-	ctx, stop := sweepContext()
-	defer stop()
-	runner := sf.common.runner()
-	fmt.Println("E4 — superposition-order penalty vs 2q error rate (QFA n=8)")
-	for _, orders := range spec.Orders {
-		pc := experiment.PanelConfig{
-			Geometry: spec.Geometry, Axis: experiment.Axis2Q,
-			OrderX: orders[0], OrderY: orders[1],
-			Rates: rates, Depths: spec.Depths,
-			Budget: sf.budget(), Seed: spec.Seed,
-			Pipeline: sf.pipeline,
-			Scorers:  spec.Scorers,
-		}
-		res, err := experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{
-			Label:      fmt.Sprintf("claim2q_%d%d", orders[0], orders[1]),
-			Checkpoint: checkpoint(run),
-		})
-		if err != nil {
-			exitSweepErr(err, run)
-		}
-		for i, rate := range rates {
-			best := 0.0
-			bestD := 0
-			for j, d := range experiment.AddDepths {
-				if s := res.Points[i][j].Stats.SuccessRate; s > best {
-					best, bestD = s, d
+	sf.sweep(sf.common.runner(), nil, func(results []experiment.PanelResult) {
+		fmt.Println("E4 — superposition-order penalty vs 2q error rate (QFA n=8)")
+		for _, res := range results {
+			c := res.Config
+			for i, rate := range c.Rates {
+				// best starts below any success rate, so the label is
+				// always a depth that was run, even when all score 0%.
+				best, bestD := -1.0, 0
+				for j, d := range c.Depths {
+					if s := res.Points[i][j].Stats.SuccessRate; s > best {
+						best, bestD = s, d
+					}
 				}
+				fmt.Printf("  %d:%d at P2q=%.1f%%: best %.1f%% at depth %s\n",
+					c.OrderX, c.OrderY, rate*100, best, experiment.DepthLabel(bestD, 8))
 			}
-			fmt.Printf("  %d:%d at P2q=%.1f%%: best %.1f%% at depth %s\n",
-				orders[0], orders[1], rate*100, best,
-				experiment.DepthLabel(bestD, 8))
 		}
-	}
+	})
 }
 
 // ---------------------------------------------------------------- ablation
@@ -571,18 +483,13 @@ func runClaim2Q(args []string) {
 func runAblateAddCut(args []string) {
 	sf := parseSweepFlags(args, "ablate-addcut")
 	defer sf.common.prof.start()()
-	if sf.shard.Enabled() {
-		fmt.Fprintln(os.Stderr, "ablate-addcut does not support -shard")
-		exit(2)
-	}
-	defer sf.common.telem.start("")()
+	defer sf.common.telem.start(nil)()
 	ctx, stop := sweepContext()
 	defer stop()
 	runner := sf.common.runner()
 	geo := experiment.PaperAddGeometry()
 	fmt.Println("E6 — approximate addition-step ablation (QFA n=8, full AQFT, 2:2)")
 	fmt.Printf("%-10s %12s %12s %12s\n", "addCut", "2q gates", "success@0%", "success@1%2q")
-	b := sf.budget()
 	for _, cut := range []int{1, 2, 3, 4, 6, 8} {
 		var succ [2]float64
 		var twoQ int
@@ -594,8 +501,8 @@ func runAblateAddCut(args []string) {
 			pc := experiment.PointConfig{
 				Geometry: geo, Depth: qft.Full, Model: model,
 				OrderX: 2, OrderY: 2,
-				Instances: b.Instances, Shots: b.Shots,
-				Trajectories: b.Trajectories,
+				Instances: sf.spec.Instances, Shots: sf.spec.Shots,
+				Trajectories: sf.spec.Traj,
 				RowSeed:      experiment.SplitSeed(sf.seed, 0x22), PointSeed: experiment.SplitSeed(sf.seed, uint64(cut)<<8|uint64(i)),
 				Pipeline: sf.pipeline,
 			}

@@ -14,9 +14,9 @@ import (
 // runMergeRuns implements the merge-runs subcommand: union the
 // checkpoint logs of shard run directories into one run directory,
 // verify they belong to the same sweep (config hash), report benign
-// overlaps and grid gaps, and — when the shards carry a fig3/fig4
-// sweep spec — regenerate the final CSVs, byte-identical to what an
-// unsharded run of the same configuration writes.
+// overlaps and grid gaps, and — when the shards carry a panel sweep
+// spec (figures, claim-2q) — regenerate the final CSVs, byte-identical
+// to what an unsharded run of the same configuration writes.
 //
 //	qfarith merge-runs -out merged runs/shard0 runs/shard1 runs/shard2
 func runMergeRuns(args []string) {
@@ -52,37 +52,27 @@ func runMergeRuns(args []string) {
 		exit(1)
 	}
 
-	// Final-CSV regeneration needs the recorded sweep spec; run
-	// directories created before spec sidecars existed merge fine but
-	// re-render through a resume instead.
-	var spec experiment.SweepSpec
-	ok, err := runstore.ReadSpec(*out, &spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if !ok {
-		fmt.Printf("no sweep spec recorded; re-render outputs by resuming:\n  qfarith <command> <same flags> -rundir %s -resume\n", *out)
-		return
-	}
-	switch spec.Command {
-	case "fig3", "fig4", "fig3-signed", "fig4-signed":
-		// Figure-style sweeps record enough spec to regenerate their
-		// panel CSVs directly from the merged checkpoints.
-	default:
-		fmt.Printf("merged %s run; re-render its output by resuming:\n  qfarith %s <same flags> -rundir %s -resume\n", spec.Command, spec.Command, *out)
-		return
-	}
 	run, err := runstore.Resume(*out, "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
 	onExit(func() { run.Close() })
-	// CSV regeneration never runs panels, so the pipeline config and
-	// worker bound are irrelevant — zero values select the shared
-	// enumeration's defaults.
-	panels, _ := spec.Panels(compile.Config{}, 0)
+	// The CSVs are rebuilt from any recorded spec that enumerates panels.
+	// Other runs — no spec sidecar (older run directories), or a spec
+	// that is not a SweepSpec (scaling, ablate-routing) — re-render
+	// through a resume. CSV regeneration never runs panels, so the
+	// pipeline config and worker bound are irrelevant: zero values.
+	var spec experiment.SweepSpec
+	var panels []experiment.PanelJob
+	if ok, err := runstore.ReadSpec(*out, &spec); ok && err == nil {
+		panels, _ = spec.Panels(compile.Config{}, 0)
+	}
+	if len(panels) == 0 {
+		cmd := run.Manifest().Command
+		fmt.Printf("merged %s run; re-render its output by resuming:\n  qfarith %s <same flags> -rundir %s -resume\n", cmd, cmd, *out)
+		return
+	}
 	for _, pj := range panels {
 		res, err := experiment.PanelFromCheckpoints(pj.Config, pj.Label, run)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qfarith/internal/experiment"
+	"qfarith/internal/runstore"
 	"qfarith/internal/telemetry"
 )
 
@@ -29,13 +30,14 @@ func (tf *telemetryFlags) register(fs *flag.FlagSet) {
 
 // start launches the debug server when -telemetry-addr is set and
 // returns the stop function to defer: it writes a telemetry.json
-// snapshot into snapshotDir (skipped when empty, i.e. no -rundir) and
-// shuts the server down. Like profiler.start, the stop function is
-// idempotent and also registered with onExit, so both the normal
-// return path and an early exit() — SIGINT, sweep error — produce the
-// snapshot. Exits with status 1 when the requested listen address is
-// unusable, since silently running unobserved would defeat the flag.
-func (tf *telemetryFlags) start(snapshotDir string) func() {
+// snapshot into run's directory (skipped when run is nil, i.e. no
+// -rundir) and shuts the server down. Like profiler.start, the stop
+// function is idempotent and also registered with onExit, so both the
+// normal return path and an early exit() — SIGINT, sweep error —
+// produce the snapshot. Exits with status 1 when the requested listen
+// address is unusable, since silently running unobserved would defeat
+// the flag.
+func (tf *telemetryFlags) start(run *runstore.Run) func() {
 	var srv *telemetry.Server
 	if *tf.addr != "" {
 		s, err := telemetry.Serve(*tf.addr, nil)
@@ -49,8 +51,8 @@ func (tf *telemetryFlags) start(snapshotDir string) func() {
 	var once sync.Once
 	stop := func() {
 		once.Do(func() {
-			if snapshotDir != "" {
-				path := filepath.Join(snapshotDir, "telemetry.json")
+			if run != nil {
+				path := filepath.Join(run.Dir(), "telemetry.json")
 				if err := telemetry.Default().WriteSnapshotFile(path); err != nil {
 					fmt.Fprintln(os.Stderr, "telemetry snapshot:", err)
 				} else {
@@ -85,13 +87,10 @@ const trackerInterval = 15 * time.Second
 // resumed sweep promise an absurdly near finish; only points actually
 // computed in this process feed the rate and ETA.
 type sweepTracker struct {
-	total int
 	start time.Time
 
-	mu       sync.Mutex
-	done     int
-	fresh    int
-	restored int
+	mu   sync.Mutex
+	last experiment.SweepProgress
 
 	lastShots   uint64
 	lastShotsAt time.Time
@@ -100,12 +99,10 @@ type sweepTracker struct {
 	stopCh   chan struct{}
 }
 
-// newSweepTracker starts the progress ticker for a sweep of total grid
-// points. Call observe from every panel's progress callback and stop
-// when the sweep finishes.
-func newSweepTracker(total int) *sweepTracker {
+// newSweepTracker starts the progress ticker. Call observe from the
+// sweep's progress callback and stop when the sweep finishes.
+func newSweepTracker() *sweepTracker {
 	t := &sweepTracker{
-		total:       total,
 		start:       time.Now(),
 		lastShots:   telemetry.Default().CounterSum("qfarith_shots_total"),
 		lastShotsAt: time.Now(),
@@ -115,15 +112,10 @@ func newSweepTracker(total int) *sweepTracker {
 	return t
 }
 
-// observe records one completed grid cell. Safe for concurrent use.
-func (t *sweepTracker) observe(p experiment.Progress) {
+// observe records the sweep's latest counts. Safe for concurrent use.
+func (t *sweepTracker) observe(sp experiment.SweepProgress) {
 	t.mu.Lock()
-	t.done++
-	if p.FromCheckpoint {
-		t.restored++
-	} else {
-		t.fresh++
-	}
+	t.last = sp
 	t.mu.Unlock()
 }
 
@@ -153,9 +145,9 @@ func (t *sweepTracker) loop() {
 // the number the constant-time sampling stage exists to keep small.
 func (t *sweepTracker) line() {
 	t.mu.Lock()
-	done, fresh, restored := t.done, t.fresh, t.restored
+	done, fresh, restored, total := t.last.Done, t.last.Fresh, t.last.Restored, t.last.Total
 	t.mu.Unlock()
-	if done >= t.total {
+	if done >= total {
 		return
 	}
 	now := time.Now()
@@ -163,13 +155,13 @@ func (t *sweepTracker) line() {
 	sps := float64(shots-t.lastShots) / now.Sub(t.lastShotsAt).Seconds()
 	t.lastShots, t.lastShotsAt = shots, now
 
-	line := fmt.Sprintf("progress: %d/%d points", done, t.total)
+	line := fmt.Sprintf("progress: %d/%d points", done, total)
 	if restored > 0 {
 		line += fmt.Sprintf(" (%d restored)", restored)
 	}
 	if fresh > 0 {
 		rate := float64(fresh) / now.Sub(t.start).Seconds()
-		eta := time.Duration(float64(t.total-done) / rate * float64(time.Second))
+		eta := time.Duration(float64(total-done) / rate * float64(time.Second))
 		line += fmt.Sprintf(" | %.1f pts/min | ETA %s", rate*60, eta.Round(time.Second))
 	}
 	line += fmt.Sprintf(" | %.0f shots/s", sps)

@@ -78,22 +78,20 @@ func main() {
 	}
 	fmt.Printf("%-24s %12.4f %14s\n", "density (exact)", exact[want], "—")
 
-	// A cancellable panel sweep on a shared Runner: cancel after the
+	// A cancellable one-panel sweep on a shared Runner: cancel after the
 	// third completed point and show the sweep stops mid-grid.
 	fmt.Println("\ncancelling a panel sweep mid-grid:")
 	runner := backend.NewRunner(backend.NewTrajectoryBackend(), 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pc := experiment.PanelConfig{
-		Geometry: geo, Axis: experiment.Axis2Q,
-		OrderX: 1, OrderY: 2,
-		Rates:  []float64{0, 0.005, 0.01, 0.02},
-		Depths: []int{1, 2, qft.Full},
-		Budget: experiment.Budget{Instances: 6, Shots: 256, Trajectories: 8},
-		Seed:   7,
+	sweep := experiment.SweepSpec{
+		Command: "demo", Geometry: geo, Depths: []int{1, 2, qft.Full},
+		Axes: []experiment.ErrorAxis{experiment.Axis2Q}, Orders: [][2]int{{1, 2}},
+		Rates2Q:   []float64{0, 0.005, 0.01, 0.02},
+		Instances: 6, Shots: 256, Traj: 8, Seed: 7,
 	}
 	completed := 0
-	_, err = experiment.RunPanel(ctx, runner, pc, experiment.PanelOptions{Progress: func(p experiment.Progress) {
+	_, err = experiment.RunSweep(ctx, runner, sweep, experiment.SweepOptions{Progress: func(p experiment.SweepProgress) {
 		completed = p.Done
 		if p.Done == 3 {
 			cancel()

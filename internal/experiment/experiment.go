@@ -207,6 +207,15 @@ type PointResult struct {
 	Paper2q        int
 }
 
+// SweptRate is the error rate a panel point was run at: the 2q rate
+// when it is non-zero, else the 1q rate (a panel varies one of them).
+func (c PointConfig) SweptRate() float64 {
+	if c.Model.TwoQubit > 0 {
+		return c.Model.TwoQubit
+	}
+	return c.Model.OneQubit
+}
+
 // SplitSeed derives a decorrelated stream seed with SplitMix64 — the
 // one seed-splitting rule of every sweep, point and instance stream.
 func SplitSeed(base, idx uint64) uint64 {

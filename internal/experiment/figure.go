@@ -1,11 +1,17 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
+	"qfarith/internal/backend"
 	"qfarith/internal/compile"
 	"qfarith/internal/metrics"
+	"qfarith/internal/runstore"
 )
 
 // SweepSpec is the hashed identity of a figure sweep: every field that
@@ -62,7 +68,7 @@ func FigureSweep(command string) (geo Geometry, depths []int, ok bool) {
 	return Geometry{}, nil, false
 }
 
-// PanelJob pairs one panel of a figure sweep with the label that names
+// PanelJob pairs one panel of a sweep with the label that names
 // its checkpoint keys and CSV artifact (e.g. "fig3_2q_12").
 type PanelJob struct {
 	Label  string
@@ -74,14 +80,10 @@ func PanelLabel(command string, axis ErrorAxis, orderX, orderY int) string {
 	return fmt.Sprintf("%s_%s_%d%d", command, axis, orderX, orderY)
 }
 
-// Panels enumerates the spec's figure panels in the canonical order
-// (operand orders outer, error axes inner) plus the full grid's
-// checkpoint-key list. This is the single source of truth for how a
-// figure sweep decomposes into panels: the CLI's runFigure, merge-runs
-// CSV regeneration, and the qfarithd job executor all enumerate through
-// it, so a sweep submitted over HTTP at a fixed seed produces the exact
-// panel set — and therefore the exact CSV bytes — of the same sweep run
-// from the command line.
+// Panels enumerates the spec's panels in the canonical order (operand
+// orders outer, error axes inner) plus the full grid's checkpoint-key
+// list. It is the one decomposition of a sweep into panels: RunSweep
+// and merge-runs' CSV regeneration both enumerate through it.
 //
 // pipeline is the full compilation config (the spec stores only its
 // hash) and workers the scheduling-only instance-parallelism bound;
@@ -116,6 +118,97 @@ func (s SweepSpec) Panels(pipeline compile.Config, workers int) (panels []PanelJ
 	return panels, allKeys
 }
 
+// ErrArtifact marks a RunSweep error raised while writing a panel CSV,
+// after every point of that panel was computed and checkpointed.
+var ErrArtifact = errors.New("write CSV")
+
+// SweepOptions selects how RunSweep runs a sweep beyond its spec. None
+// of them changes a point's result.
+type SweepOptions struct {
+	// Pipeline is the full compilation config whose hash the spec
+	// records; Workers bounds each point's instance parallelism
+	// (0 = GOMAXPROCS).
+	Pipeline compile.Config
+	Workers  int
+	// Run is the sweep's open run directory (runstore.Open), or nil for
+	// a sweep that is not durable. Its checkpoints are restored and
+	// extended, and the panel CSVs are written into it. A run whose
+	// manifest names a shard runs only the cells that shard owns and
+	// writes no CSV: its panels stay partial until merge-runs unions the
+	// shards' run directories.
+	Run *runstore.Run
+	// OutDir receives the panel CSVs when Run is nil; "" writes none.
+	OutDir string
+	// Progress, when non-nil, observes every completed cell.
+	Progress func(SweepProgress)
+}
+
+// SweepProgress is one completed cell of a sweep. Done, Fresh, Restored
+// and Total count the cells the sweep owns across all its panels, as
+// Progress counts them for one panel; Cell is the panel-level report.
+type SweepProgress struct {
+	Panel                        string
+	Done, Fresh, Restored, Total int
+	Cell                         Progress
+}
+
+// RunSweep runs every panel of spec, in Panels order, through RunPanel
+// and writes each finished panel's CSV to <label>.csv with
+// runstore.WriteArtifact (none when sharded). It is the one sweep path
+// of the qfarith CLI and the qfarithd executor, which is why a job and
+// a CLI run of the same spec write the same bytes. Results come back
+// in Panels order.
+func RunSweep(ctx context.Context, r *backend.Runner, spec SweepSpec, opts SweepOptions) ([]PanelResult, error) {
+	panels, keys := spec.Panels(opts.Pipeline, opts.Workers)
+	var (
+		ck    CheckpointStore
+		shard Shard
+	)
+	outDir := opts.OutDir
+	if run := opts.Run; run != nil {
+		var err error
+		if shard, err = ParseShard(run.Manifest().Shard); err != nil {
+			return nil, err
+		}
+		ck, outDir = run, run.Dir()
+		if shard.Enabled() {
+			outDir = ""
+		}
+	} else if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	// Panels run one after another, so the sweep counts are the
+	// finished panels' counts plus the running panel's.
+	sum := SweepProgress{Total: len(shard.OwnedKeys(keys))}
+	results := make([]PanelResult, 0, len(panels))
+	for _, pj := range panels {
+		var last Progress
+		popts := PanelOptions{Label: pj.Label, Shard: shard, Checkpoint: ck}
+		if opts.Progress != nil {
+			popts.Progress = func(p Progress) {
+				last = p
+				opts.Progress(SweepProgress{Panel: pj.Label,
+					Done: sum.Done + p.Done, Fresh: sum.Fresh + p.Fresh,
+					Restored: sum.Restored + p.Restored, Total: sum.Total, Cell: p})
+			}
+		}
+		res, err := RunPanel(ctx, r, pj.Config, popts)
+		if err != nil {
+			return nil, fmt.Errorf("panel %s: %w", pj.Label, err)
+		}
+		sum.Done, sum.Fresh, sum.Restored = sum.Done+last.Done, sum.Fresh+last.Fresh, sum.Restored+last.Restored
+		if outDir != "" {
+			if err := runstore.WriteArtifact(filepath.Join(outDir, pj.Label+".csv"), []byte(res.CSV())); err != nil {
+				return nil, fmt.Errorf("panel %s: %w: %w", pj.Label, ErrArtifact, err)
+			}
+		}
+		results = append(results, res)
+	}
+	return results, nil
+}
+
 // SweepRequest is a sweep as a user asks for it, before validation. The
 // qfarith sweep flags and the qfarithd job payload both fill it field
 // for field, and Spec is the one place either is checked. Zero values
@@ -144,11 +237,17 @@ type SweepRequest struct {
 	Pipeline compile.Config
 }
 
+// claim2QRates are the conclusions' improved (0.7%) and current (1.0%)
+// 2q error rates. They are literals, not RateGrid's 0.7/100, which is
+// 0.006999999999999999: the rate's bits feed every point seed.
+var claim2QRates = []float64{0.007, 0.010}
+
 // Spec validates the request into the sweep's hashed identity. A
 // command FigureSweep knows gets its geometry and depth legend, and its
-// operand orders are checked against the operand registers; any other
-// command (claim-2q, ablate-addcut) leaves Geometry and Depths to the
-// caller.
+// operand orders are checked against the operand registers. claim-2q
+// gets its fixed grid: 1:2 and 2:2 Fig. 3 addition on the 2q axis at
+// claim2QRates. Any other command (ablate-addcut) leaves Geometry and
+// Depths to the caller.
 func (q SweepRequest) Spec() (SweepSpec, error) {
 	s := SweepSpec{Command: q.Command, Seed: q.Seed, Backend: q.Backend, Pipeline: q.Pipeline.Hash()}
 	geo, depths, figure := FigureSweep(q.Command)
@@ -221,6 +320,14 @@ func (q SweepRequest) Spec() (SweepSpec, error) {
 	var err error
 	if s.Scorers, err = ExtraScorers(q.Scorers); err != nil {
 		return SweepSpec{}, err
+	}
+	if q.Command == "claim-2q" {
+		if q.Axis != "" || q.Orders != "" || len(q.RatesPct) > 0 {
+			return SweepSpec{}, fmt.Errorf("claim-2q fixes its axis, orders and rates")
+		}
+		s.Geometry, s.Depths = PaperAddGeometry(), AddDepths
+		s.Axes, s.Orders = []ErrorAxis{Axis2Q}, [][2]int{{1, 2}, {2, 2}}
+		s.Rates1Q, s.Rates2Q = claim2QRates, claim2QRates
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,6 +139,9 @@ func TestSweepRequestRefusals(t *testing.T) {
 		{"budget", SweepRequest{Command: "fig3", Budget: "huge"}, `unknown budget "huge"`},
 		{"scorer", SweepRequest{Command: "fig3", Scorers: []string{"margin", "nope"}}, `unknown scorer "nope"`},
 		{"negative", SweepRequest{Command: "fig3", Shots: -1}, "must be positive"},
+		{"claim axis", SweepRequest{Command: "claim-2q", Axis: "1q"}, "claim-2q fixes"},
+		{"claim orders", SweepRequest{Command: "claim-2q", Orders: "1:1"}, "claim-2q fixes"},
+		{"claim rates", SweepRequest{Command: "claim-2q", RatesPct: []float64{0.7}}, "claim-2q fixes"},
 	} {
 		_, err := c.req.Spec()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -171,8 +175,61 @@ func TestSweepRequestDefaults(t *testing.T) {
 	}
 	// A non-figure command validates the same fields but leaves the
 	// geometry to its caller.
-	other, err := SweepRequest{Command: "claim-2q"}.Spec()
+	other, err := SweepRequest{Command: "ablate-addcut"}.Spec()
 	if err != nil || other.Depths != nil || other.Geometry.TotalQubits != 0 {
-		t.Errorf("claim-2q spec = %+v, %v; want no geometry", other, err)
+		t.Errorf("ablate-addcut spec = %+v, %v; want no geometry", other, err)
+	}
+}
+
+// TestClaim2QSpecMatchesHandBuiltLoop: the claim-2q spec's Panels yield
+// exactly the points the command used to build by hand — one 2q panel
+// per order 1:2 and 2:2 over AddDepths at 0.7% and 1.0% — with the
+// rates bit for bit (0.7/100 would move every point seed) and so the
+// same RowSeed and PointSeed.
+func TestClaim2QSpecMatchesHandBuiltLoop(t *testing.T) {
+	pipeline := compile.Config{Passes: []string{compile.PassDecompose, compile.PassFuse}}
+	spec, err := SweepRequest{Command: "claim-2q", Budget: "quick", Seed: 777,
+		Backend: "trajectory", Pipeline: pipeline}.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{0.007, 0.010}
+	var want []PointConfig
+	for _, orders := range [][2]int{{1, 2}, {2, 2}} {
+		pc := PanelConfig{
+			Geometry: PaperAddGeometry(), Axis: Axis2Q,
+			OrderX: orders[0], OrderY: orders[1],
+			Rates: rates, Depths: AddDepths,
+			Budget: Budget{Instances: Quick.Instances, Shots: Quick.Shots,
+				Trajectories: Quick.Trajectories, Workers: 3},
+			Seed: 777, Pipeline: pipeline,
+		}
+		for _, rate := range rates {
+			for _, d := range AddDepths {
+				want = append(want, pc.PointAt(rate, d))
+			}
+		}
+	}
+	panels, keys := spec.Panels(pipeline, 3)
+	var got []PointConfig
+	for _, pj := range panels {
+		for _, rate := range pj.Config.Rates {
+			for _, d := range pj.Config.Depths {
+				got = append(got, pj.Config.PointAt(rate, d))
+			}
+		}
+	}
+	if len(got) != len(want) || len(keys) != len(want) {
+		t.Fatalf("claim-2q enumerates %d points and %d keys, want %d", len(got), len(keys), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.Model.TwoQubit) != math.Float64bits(w.Model.TwoQubit) ||
+			g.RowSeed != w.RowSeed || g.PointSeed != w.PointSeed || !reflect.DeepEqual(g, w) {
+			t.Errorf("point %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if panels[0].Label != "claim-2q_2q_12" || panels[1].Label != "claim-2q_2q_22" {
+		t.Errorf("panel labels %s, %s; want claim-2q_2q_12, claim-2q_2q_22", panels[0].Label, panels[1].Label)
 	}
 }

@@ -194,6 +194,46 @@ func Resume(dir, wantHash string) (*Run, error) {
 	return &Run{dir: dir, manifest: m, log: log, points: points, restored: restored}, nil
 }
 
+// Open is the one way a sweep claims its run directory. It hashes spec
+// into m.ConfigHash, then either creates the run — manifest stamped
+// with the current time, plus the spec.json and keys.json sidecars
+// merge-runs reads; a failed sidecar write leaves no manifest behind —
+// or, with resume, reopens it through Resume, which refuses a config
+// mismatch, and refuses a run started as another shard than m.Shard.
+// keys is the full grid's checkpoint-key list: every shard records the
+// same list.
+func Open(dir string, m Manifest, spec any, keys []string, resume bool) (*Run, error) {
+	hash, err := HashConfig(spec)
+	if err != nil {
+		return nil, err
+	}
+	if resume {
+		run, err := Resume(dir, hash)
+		if err == nil && run.manifest.Shard != m.Shard {
+			run.Close()
+			return nil, fmt.Errorf("runstore: run %s was started as shard %q, current shard is %q (refusing to change the partition mid-run)",
+				dir, run.manifest.Shard, m.Shard)
+		}
+		return run, err
+	}
+	m.ConfigHash, m.StartTime = hash, time.Now().UTC()
+	run, err := Create(dir, m)
+	if err != nil {
+		return nil, err
+	}
+	if err = WriteSpec(dir, spec); err == nil {
+		err = WriteExpectedKeys(dir, keys)
+	}
+	if err != nil {
+		// Give up the claim, so a retry creates the run afresh instead
+		// of resuming one without its sidecars.
+		run.Close()
+		os.Remove(filepath.Join(dir, manifestName))
+		return nil, err
+	}
+	return run, nil
+}
+
 func loadPoints(path string) (map[string]json.RawMessage, int, error) {
 	points := map[string]json.RawMessage{}
 	f, err := os.Open(path)

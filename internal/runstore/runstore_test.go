@@ -2,9 +2,11 @@ package runstore_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +103,74 @@ func TestResumeRejectsConfigHashMismatch(t *testing.T) {
 	// Empty wantHash skips the check (tools that only read the log).
 	if _, err := runstore.Resume(dir, ""); err != nil {
 		t.Errorf("Resume with empty hash failed: %v", err)
+	}
+}
+
+// TestOpen covers the one run-directory lifecycle sweeps share: a
+// fresh Open creates the run with the spec's hash and both sidecars, a
+// resume restores its checkpoints, and a resume under another shard or
+// another spec is refused.
+func TestOpen(t *testing.T) {
+	type spec struct{ Seed int }
+	dir := filepath.Join(t.TempDir(), "run")
+	keys := []string{"p/r00/d00", "p/r00/d01"}
+	m := runstore.Manifest{Command: "fig3", Seed: 7, Shard: "0/2"}
+	run, err := runstore.Open(dir, m, spec{7}, keys, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, _ := runstore.HashConfig(spec{7})
+	if got := run.Manifest(); got.ConfigHash != hash || got.StartTime.IsZero() || got.Shard != "0/2" {
+		t.Errorf("created manifest = %+v, want config hash %s, a start time and shard 0/2", got, hash)
+	}
+	if err := run.AppendPoint(keys[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	run.Close()
+	var gotSpec spec
+	if ok, err := runstore.ReadSpec(dir, &gotSpec); !ok || err != nil || gotSpec != (spec{7}) {
+		t.Errorf("spec sidecar = %+v (ok %v, err %v), want {7}", gotSpec, ok, err)
+	}
+	if got, err := runstore.ReadExpectedKeys(dir); err != nil || !reflect.DeepEqual(got, keys) {
+		t.Errorf("keys sidecar = %v (err %v), want %v", got, err, keys)
+	}
+	if _, err := runstore.Open(dir, m, spec{7}, keys, false); err == nil {
+		t.Error("a second create of the same run directory succeeded")
+	}
+
+	resumed, err := runstore.Open(dir, m, spec{7}, keys, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Restored(); got != 1 {
+		t.Errorf("resumed run restored %d points, want 1", got)
+	}
+	resumed.Close()
+
+	other := m
+	other.Shard = "1/2"
+	if _, err := runstore.Open(dir, other, spec{7}, keys, true); err == nil || !strings.Contains(err.Error(), "shard") {
+		t.Errorf("resume as another shard: err = %v, want a shard refusal", err)
+	}
+	if _, err := runstore.Open(dir, m, spec{8}, keys, true); !errors.Is(err, runstore.ErrConfigMismatch) {
+		t.Errorf("resume under another spec: err = %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestOpenSidecarFailureReleasesClaim: when a sidecar cannot be
+// written (here a directory squats on spec.json), Open fails and
+// leaves no manifest, so a retry creates the run afresh instead of
+// resuming one without its spec.
+func TestOpenSidecarFailureReleasesClaim(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	if err := os.MkdirAll(filepath.Join(dir, "spec.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runstore.Open(dir, runstore.Manifest{Command: "fig3"}, 1, nil, false); err == nil {
+		t.Fatal("Open succeeded without writing spec.json")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+		t.Errorf("failed Open left a manifest behind (stat err %v)", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"qfarith/internal/backend"
 	"qfarith/internal/compile"
@@ -17,13 +16,13 @@ import (
 	"qfarith/internal/telemetry"
 )
 
-// SweepExecutor runs jobs through the exact machinery the CLI uses:
-// SweepSpec.Panels enumerates the grid, experiment.RunPanel computes
-// it against a checkpoint log in an ordinary runstore run directory,
-// and runstore.WriteArtifact writes the final CSVs. Nothing in the path
-// knows it is running under a daemon, which is what makes an
-// HTTP-submitted fixed-seed job byte-identical to the same sweep run
-// from the command line — the invariant the daemon-e2e CI job checks.
+// SweepExecutor runs jobs through the exact path the CLI uses:
+// runstore.Open claims the job's run directory and
+// experiment.RunSweep computes its panels against the checkpoint log
+// and writes the CSVs. Nothing in the path knows it is running under a
+// daemon, which is what makes an HTTP-submitted fixed-seed job
+// byte-identical to the same sweep run from the command line — the
+// invariant the daemon-e2e CI job checks.
 type SweepExecutor struct {
 	// Runner is the shared backend worker pool all jobs execute on.
 	Runner *backend.Runner
@@ -54,36 +53,16 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		return fmt.Errorf("job %s is already %s", j.ID, j.State())
 	}
 	dir := filepath.Join(e.DataDir, j.ID)
-	hash, err := runstore.HashConfig(*spec)
-	if err != nil {
-		return err
-	}
-	panels, allKeys := spec.Panels(compile.Config{}, e.Workers)
-
-	var run *runstore.Run
-	if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
-		// A previous attempt claimed the directory; resume its
-		// checkpoints. Resume re-verifies the config hash, so a stale
-		// directory from an unrelated job is an error, not silent reuse.
-		run, err = runstore.Resume(dir, hash)
-	} else {
-		run, err = runstore.Create(dir, runstore.Manifest{
-			Command: spec.Command, ConfigHash: hash, Seed: spec.Seed,
-			Backend: e.Backend, Pipeline: compile.Config{}.Hash(),
-			GitDescribe: e.GitDescribe,
-			StartTime:   time.Now().UTC(),
-		})
-		if err == nil {
-			if serr := runstore.WriteSpec(dir, *spec); serr != nil {
-				run.Close()
-				return serr
-			}
-			if serr := runstore.WriteExpectedKeys(dir, allKeys); serr != nil {
-				run.Close()
-				return serr
-			}
-		}
-	}
+	_, keys := spec.Panels(compile.Config{}, e.Workers)
+	// A previous attempt that claimed the directory left its manifest:
+	// resume it. Open re-verifies the config hash, so a stale directory
+	// from an unrelated job is an error, not silent reuse.
+	_, statErr := os.Stat(filepath.Join(dir, "manifest.json"))
+	run, err := runstore.Open(dir, runstore.Manifest{
+		Command: spec.Command, Seed: spec.Seed,
+		Backend: e.Backend, Pipeline: compile.Config{}.Hash(),
+		GitDescribe: e.GitDescribe,
+	}, *spec, keys, statErr == nil)
 	if err != nil {
 		// A directory started under another config can never resume.
 		if errors.Is(err, runstore.ErrConfigMismatch) {
@@ -103,22 +82,14 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		_ = telemetry.Default().WriteSnapshotFile(filepath.Join(dir, "telemetry.json"))
 	}()
 
-	j.resetProgress(len(allKeys))
-
-	for _, pj := range panels {
-		label := pj.Label
-		res, err := experiment.RunPanel(ctx, e.Runner, pj.Config, experiment.PanelOptions{
-			Label: label, Checkpoint: run,
-			Progress: func(p experiment.Progress) { j.observe(label, p) },
-		})
-		if err != nil {
-			return fmt.Errorf("panel %s: %w", label, err)
-		}
-		if err := runstore.WriteArtifact(filepath.Join(dir, label+".csv"), []byte(res.CSV())); err != nil {
-			return retryable(fmt.Errorf("panel %s: %w", label, err))
-		}
+	j.resetProgress(len(keys))
+	_, err = experiment.RunSweep(ctx, e.Runner, *spec, experiment.SweepOptions{
+		Workers: e.Workers, Run: run, Progress: j.observe,
+	})
+	if errors.Is(err, experiment.ErrArtifact) {
+		return retryable(err)
 	}
-	return nil
+	return err
 }
 
 // permanentIO lists the storage errors no retry can clear: a full,

@@ -266,37 +266,24 @@ func (j *Job) resetProgress(total int) {
 	j.mu.Unlock()
 }
 
-// observe folds one panel progress callback into the job-level counters
+// observe records one sweep progress report in the job-level counters
 // and streams it to SSE subscribers. It must not block: progress
 // callbacks run under the panel's bookkeeping lock.
-func (j *Job) observe(panel string, p experiment.Progress) {
-	j.mu.Lock()
-	j.done++
-	if p.FromCheckpoint {
-		j.restored++
-	} else {
-		j.fresh++
-	}
+func (j *Job) observe(sp experiment.SweepProgress) {
+	p := sp.Cell
 	ev := ProgressEvent{
-		Panel: panel,
-		Done:  j.done, Fresh: j.fresh, Restored: j.restored, Total: j.total,
+		Panel: sp.Panel,
+		Done:  sp.Done, Fresh: sp.Fresh, Restored: sp.Restored, Total: sp.Total,
 		PanelDone: p.Done, PanelTotal: p.Total,
-		RatePct:        pointRatePct(p.Point),
+		RatePct:        p.Point.Config.SweptRate() * 100,
 		Depth:          experiment.DepthLabel(p.Point.Config.Depth, 8),
 		SuccessPct:     p.Point.Stats.SuccessRate,
 		FromCheckpoint: p.FromCheckpoint,
 	}
+	j.mu.Lock()
+	j.done, j.fresh, j.restored, j.total = sp.Done, sp.Fresh, sp.Restored, sp.Total
 	j.mu.Unlock()
 	j.bc.send(Event{Type: EventProgress, Data: ev})
-}
-
-// pointRatePct extracts the swept error rate of a completed point, in
-// percent (the axis the panel varies is whichever is non-zero).
-func pointRatePct(r experiment.PointResult) float64 {
-	if r.Config.Model.TwoQubit > 0 {
-		return r.Config.Model.TwoQubit * 100
-	}
-	return r.Config.Model.OneQubit * 100
 }
 
 // ProgressEvent is one completed grid cell as streamed over SSE: the
