@@ -82,7 +82,7 @@ func figPoint(b *testing.B, geo experiment.Geometry, axis experiment.ErrorAxis, 
 			Trajectories: benchBudget.Trajectories,
 			RowSeed:      77, PointSeed: uint64(i) + 1,
 		}
-		last = benchRunPoint(b, cfg, 0)
+		last = benchRunPoint(b, cfg)
 	}
 	b.ReportMetric(last.Stats.SuccessRate, "success%")
 	b.ReportMetric(float64(last.Native2q), "cx_gates")
@@ -91,9 +91,9 @@ func figPoint(b *testing.B, geo experiment.Geometry, axis experiment.ErrorAxis, 
 // benchRunPoint runs one point through experiment.RunPoint on a fresh
 // trajectory runner, so every iteration pays the same compile and
 // engine set-up a sweep's first visit to the point pays.
-func benchRunPoint(b *testing.B, cfg experiment.PointConfig, addCut int) experiment.PointResult {
+func benchRunPoint(b *testing.B, cfg experiment.PointConfig) experiment.PointResult {
 	r := backend.NewRunner(backend.NewTrajectoryBackend(), cfg.Workers)
-	pr, err := experiment.RunPoint(context.Background(), r, cfg, experiment.PointOptions{AddCut: addCut})
+	pr, err := experiment.RunPoint(context.Background(), r, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,6 +148,7 @@ func BenchmarkAblateAddCut(b *testing.B) {
 		cfg := experiment.PointConfig{
 			Geometry: experiment.PaperAddGeometry(),
 			Depth:    qft.Full,
+			AddCut:   3,
 			Model:    noise.PaperModel(0, 0.01),
 			OrderX:   2, OrderY: 2,
 			Instances:    benchBudget.Instances,
@@ -155,7 +156,7 @@ func BenchmarkAblateAddCut(b *testing.B) {
 			Trajectories: benchBudget.Trajectories,
 			RowSeed:      7, PointSeed: uint64(i) + 1,
 		}
-		last = benchRunPoint(b, cfg, 3)
+		last = benchRunPoint(b, cfg)
 	}
 	b.ReportMetric(last.Stats.SuccessRate, "success%")
 }

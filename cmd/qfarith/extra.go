@@ -3,12 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"slices"
-	"strconv"
 	"strings"
 
 	"qfarith/internal/arith"
@@ -78,7 +75,7 @@ func runThermal(args []string) {
 	telem.register(fs)
 	fs.Parse(args)
 	defer prof.start()()
-	defer telem.start(nil)()
+	defer telem.start(nil, os.Stdout)()
 
 	geo := experiment.PaperAddGeometry()
 	res := geo.BuildCircuit(3)
@@ -109,232 +106,6 @@ func noiseW0(geo experiment.Geometry, depth int) float64 {
 	return noise.NewEngine(res, noise.PaperModel(0.002, 0.01)).NoErrorProb()
 }
 
-// runAblateRouting is experiment E7: how much success rate does the
-// paper's complete-connectivity idealization hide? Compares the QFA at
-// fixed noise on the ideal all-to-all layout against the same circuit
-// routed onto realistic topologies.
-func runAblateRouting(args []string) {
-	fs := flag.NewFlagSet("ablate-routing", flag.ExitOnError)
-	instances := fs.Int("instances", 30, "instances per point")
-	traj := fs.Int("traj", 24, "trajectories per instance")
-	p2 := fs.Float64("p2", 0.005, "2q depolarizing rate")
-	var common sweepCommon
-	common.register(fs, true)
-	fs.Parse(args)
-	defer common.prof.start()()
-	ro := common.validate(0)
-	if slices.Contains(ro.pipeline.PassList(), compile.PassRoute) {
-		fmt.Fprintf(os.Stderr, "ablate-routing routes each topology itself; drop %q from -passes\n", compile.PassRoute)
-		exit(2)
-	}
-	scorers := common.extraScorers()
-	ctx, stop := sweepContext()
-	defer stop()
-	runner := common.runner()
-
-	geo := experiment.PaperAddGeometry()
-	cfg := experiment.PointConfig{
-		Geometry: geo, Depth: 3,
-		Model:  noise.PaperModel(0.002, *p2),
-		OrderX: 1, OrderY: 2,
-		Instances: *instances, Shots: 2048, Trajectories: *traj,
-		RowSeed: 1001, PointSeed: 1002,
-		Pipeline: ro.pipeline,
-		Scorers:  scorers,
-	}
-	// Each topology is the same point compiled through the user's
-	// pipeline with a route pass onto its coupling map.
-	topos := []struct{ name, coupling string }{
-		{"heavy-hex (Falcon 27)", "heavyhex27"},
-		{"grid 3x5", "grid:3x5"},
-		{"linear chain", "linear:15"},
-	}
-	keys := []string{"all-to-all"}
-	for _, tp := range topos {
-		keys = append(keys, tp.name)
-	}
-	// Routed points are the slowest single points in the suite, so the
-	// topology loop checkpoints per topology when -rundir is given.
-	run := ro.open("ablate-routing", cfg, keys)
-	defer common.telem.start(run)()
-	var ck experiment.CheckpointStore
-	if run != nil {
-		ck = run
-	}
-	fmt.Printf("E7 — qubit-connectivity ablation (QFA n=8, d=3, 1:2, λ1=0.2%%, λ2=%.2f%%)\n", *p2*100)
-	fmt.Printf("%-22s %10s %10s %12s %12s\n", "topology", "CX", "swaps", "w0", "success")
-
-	var base experiment.PointResult
-	haveBase := false
-	if ro.shard.Owns("all-to-all") {
-		var err error
-		base, err = experiment.RunPoint(ctx, runner, cfg, experiment.PointOptions{Key: "all-to-all", Checkpoint: ck})
-		if err != nil {
-			exitSweepErr(err, run)
-		}
-		haveBase = true
-		fmt.Printf("%-22s %10d %10s %12.4f %11.1f%%\n", "all-to-all (paper)", base.Native2q, "-", base.NoErrorProb, base.Stats.SuccessRate)
-	}
-	for _, tp := range topos {
-		if !ro.shard.Owns(tp.name) {
-			continue
-		}
-		rc := cfg
-		rc.Pipeline = routedPipeline(cfg.Pipeline, tp.coupling)
-		r, err := experiment.RunPoint(ctx, runner, rc, experiment.PointOptions{Key: tp.name, Checkpoint: ck})
-		if err != nil {
-			exitSweepErr(err, run)
-		}
-		// Swap counting needs the unrouted baseline, which may belong to
-		// another shard; the merged run reports it after a resume.
-		swaps := "-"
-		if haveBase {
-			swaps = fmt.Sprintf("%d", (r.Native2q-base.Native2q)/3)
-		}
-		fmt.Printf("%-22s %10d %10s %12.4f %11.1f%%\n", tp.name, r.Native2q, swaps, r.NoErrorProb, r.Stats.SuccessRate)
-	}
-	if ro.shard.Enabled() {
-		fmt.Printf("shard %s complete: merge with `qfarith merge-runs -out MERGED %s ...`, then resume the merged run for the full table\n",
-			ro.shard, run.Dir())
-	}
-}
-
-// routedPipeline is p with a route pass onto the named coupling map
-// inserted before the terminal fuse (appended when p has no fuse).
-func routedPipeline(p compile.Config, coupling string) compile.Config {
-	passes := p.PassList()
-	n := len(passes)
-	if passes[n-1] == compile.PassFuse {
-		n--
-	}
-	p.Passes = append(append(slices.Clip(passes[:n]), compile.PassRoute), passes[n:]...)
-	p.Coupling = coupling
-	return p
-}
-
-// runScaling is experiment E10, the paper's "extending the study to
-// larger n" future-work item: sweep the sum-register width n and track
-// how the optimal AQFT depth and the success rate move, at fixed 2q
-// error rates (1:2 addition, (n-1)-qubit addend).
-func runScaling(args []string) {
-	fs := flag.NewFlagSet("scaling", flag.ExitOnError)
-	instances := fs.Int("instances", 12, "instances per point")
-	traj := fs.Int("traj", 16, "trajectories per instance")
-	shots := fs.Int("shots", 2048, "shots per instance")
-	widths := fs.String("n", "4,6,8,10", "comma-separated sum-register widths")
-	rates := fs.String("rates", "1,2,3", "comma-separated 2q error percentages")
-	var common sweepCommon
-	common.register(fs, true)
-	fs.Parse(args)
-	defer common.prof.start()()
-	ro := common.validate(0)
-	extraScorers := common.extraScorers()
-	ns := parseList("-n", *widths, func(tok string) (int, error) {
-		n, err := strconv.Atoi(tok)
-		if err == nil && n < 2 {
-			err = fmt.Errorf("width %d < 2", n)
-		}
-		return n, err
-	})
-	p2s, err := experiment.RateGrid(parseList("-rates", *rates, parseFloat))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(2)
-	}
-	ctx, stop := sweepContext()
-	defer stop()
-	runner := common.runner()
-
-	scalingDepths := func(n int) []int {
-		depths := []int{1, 2, 3}
-		if n > 4 {
-			depths = append(depths, 4)
-		}
-		return append(depths, qft.Full)
-	}
-	scalingKey := func(n, rateIdx, depthIdx int) string {
-		return fmt.Sprintf("scaling/n%02d/r%02d/d%02d", n, rateIdx, depthIdx)
-	}
-	// The hashed identity of a scaling sweep mirrors sweepSpec: every
-	// field that determines point results, nothing that only schedules.
-	type scalingSpec struct {
-		Command   string
-		Ns        []int
-		Rates     []float64
-		Instances int
-		Shots     int
-		Traj      int
-		Backend   string
-		Pipeline  string
-		Scorers   []string `json:",omitempty"`
-	}
-	spec := scalingSpec{Command: "scaling", Ns: ns, Rates: p2s,
-		Instances: *instances, Shots: *shots, Traj: *traj,
-		Backend: ro.backend, Pipeline: ro.pipeline.Hash(),
-		Scorers: extraScorers}
-	var keys []string
-	for _, n := range ns {
-		for ri := range p2s {
-			for di := range scalingDepths(n) {
-				keys = append(keys, scalingKey(n, ri, di))
-			}
-		}
-	}
-	run := ro.open("scaling", spec, keys)
-	defer common.telem.start(run)()
-	var ck experiment.CheckpointStore
-	if run != nil {
-		ck = run
-	}
-
-	fmt.Printf("E10 — register-width scaling (1:2 QFA, %d instances, %d traj)\n", *instances, *traj)
-	fmt.Printf("%-4s %-8s %-28s %-10s %-10s\n", "n", "λ2q%", "success by depth 1,2,3,…,full", "best", "log2(n)")
-	for _, n := range ns {
-		depths := scalingDepths(n)
-		for ri, p2 := range p2s {
-			var cells []string
-			best, bestS := 0, -1.0
-			for di, d := range depths {
-				key := scalingKey(n, ri, di)
-				if !ro.shard.Owns(key) {
-					// Owned by another shard: shown after merge + resume.
-					cells = append(cells, "·")
-					continue
-				}
-				cfg := experiment.PointConfig{
-					Geometry: experiment.AddGeometry(n-1, n),
-					Depth:    d,
-					Model:    noise.PaperModel(0, p2),
-					OrderX:   1, OrderY: 2,
-					Instances: *instances, Shots: *shots, Trajectories: *traj,
-					RowSeed:   experiment.SplitSeed(77, uint64(n)),
-					PointSeed: experiment.SplitSeed(78, uint64(n)<<16|uint64(d)<<8|uint64(p2*1000)),
-					Pipeline:  ro.pipeline,
-					Scorers:   extraScorers,
-				}
-				r, err := experiment.RunPoint(ctx, runner, cfg, experiment.PointOptions{Key: key, Checkpoint: ck})
-				if err != nil {
-					exitSweepErr(err, run)
-				}
-				cells = append(cells, fmt.Sprintf("%.0f", r.Stats.SuccessRate))
-				if r.Stats.SuccessRate > bestS {
-					bestS, best = r.Stats.SuccessRate, d
-				}
-			}
-			bestLabel := "-"
-			if bestS >= 0 {
-				bestLabel = experiment.DepthLabel(best, n)
-			}
-			fmt.Printf("%-4d %-8.1f %-28s %-10s %-10.1f\n", n, p2*100,
-				strings.Join(cells, "/"), bestLabel, math.Log2(float64(n)))
-		}
-	}
-	if ro.shard.Enabled() {
-		fmt.Printf("shard %s complete: merge with `qfarith merge-runs -out MERGED %s ...`, then resume the merged run for the full table\n",
-			ro.shard, run.Dir())
-	}
-}
-
 // runShor is experiment E11, the capstone: the complete gate-level
 // order-finding circuit (Beauregard controlled modular multiplication
 // built from this library's Fourier adders) run under the paper's gate
@@ -353,7 +124,7 @@ func runShor(args []string) {
 	telem.register(fs)
 	fs.Parse(args)
 	defer prof.start()()
-	defer telem.start(nil)()
+	defer telem.start(nil, os.Stdout)()
 
 	c, lay := arith.NewOrderFinding(*base, *modulus, *tbits, arith.DefaultConfig())
 	res := transpile.Transpile(c)

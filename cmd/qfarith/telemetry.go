@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -30,14 +31,14 @@ func (tf *telemetryFlags) register(fs *flag.FlagSet) {
 
 // start launches the debug server when -telemetry-addr is set and
 // returns the stop function to defer: it writes a telemetry.json
-// snapshot into run's directory (skipped when run is nil, i.e. no
+// snapshot into run's directory, announcing both on stdout (skipped when run is nil, i.e. no
 // -rundir) and shuts the server down. Like profiler.start, the stop
 // function is idempotent and also registered with onExit, so both the
 // normal return path and an early exit() — SIGINT, sweep error —
 // produce the snapshot. Exits with status 1 when the requested listen
 // address is unusable, since silently running unobserved would defeat
 // the flag.
-func (tf *telemetryFlags) start(run *runstore.Run) func() {
+func (tf *telemetryFlags) start(run *runstore.Run, stdout io.Writer) func() {
 	var srv *telemetry.Server
 	if *tf.addr != "" {
 		s, err := telemetry.Serve(*tf.addr, nil)
@@ -46,7 +47,7 @@ func (tf *telemetryFlags) start(run *runstore.Run) func() {
 			exit(1)
 		}
 		srv = s
-		fmt.Printf("telemetry: http://%s/metrics\n", s.Addr())
+		fmt.Fprintf(stdout, "telemetry: http://%s/metrics\n", s.Addr())
 	}
 	var once sync.Once
 	stop := func() {
@@ -56,7 +57,7 @@ func (tf *telemetryFlags) start(run *runstore.Run) func() {
 				if err := telemetry.Default().WriteSnapshotFile(path); err != nil {
 					fmt.Fprintln(os.Stderr, "telemetry snapshot:", err)
 				} else {
-					fmt.Printf("telemetry snapshot: %s\n", path)
+					fmt.Fprintf(stdout, "telemetry snapshot: %s\n", path)
 				}
 			}
 			if srv != nil {

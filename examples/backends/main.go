@@ -90,11 +90,15 @@ func main() {
 		Rates2Q:   []float64{0, 0.005, 0.01, 0.02},
 		Instances: 6, Shots: 256, Traj: 8, Seed: 7,
 	}
+	// Cells already in flight at the cancel still finish and report;
+	// count only the ones reported before it.
 	completed := 0
 	_, err = experiment.RunSweep(ctx, runner, sweep, experiment.SweepOptions{Progress: func(p experiment.SweepProgress) {
-		completed = p.Done
-		if p.Done == 3 {
-			cancel()
+		if ctx.Err() == nil {
+			completed = p.Done
+			if p.Done == 3 {
+				cancel()
+			}
 		}
 	}})
 	hits, misses := runner.Cache().Stats()

@@ -98,7 +98,7 @@ func TestRoutedNoisyPipelineEndToEnd(t *testing.T) {
 // runPoint runs cfg on a fresh trajectory runner.
 func runPoint(t *testing.T, cfg experiment.PointConfig) experiment.PointResult {
 	t.Helper()
-	r, err := experiment.RunPoint(context.Background(), backend.NewRunner(backend.NewTrajectoryBackend(), cfg.Workers), cfg, experiment.PointOptions{})
+	r, err := experiment.RunPoint(context.Background(), backend.NewRunner(backend.NewTrajectoryBackend(), cfg.Workers), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestMitigationInsideMetricPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := metrics.CorrectSums([]int{x}, []int{y}, 4)
+	correct := metrics.CorrectSumsInto(nil, []int{x}, []int{y}, 4)
 	s := sim.NewSampler(1, 2)
 	rawScore := metrics.Score(s.Counts(noisy, 2048), correct)
 	fixedScore := metrics.Score(s.Counts(fixed, 2048), correct)

@@ -167,7 +167,11 @@ func (g Geometry) BuildArtifact(acfg arith.Config, pcfg compile.Config) (*compil
 type PointConfig struct {
 	Geometry Geometry
 	Depth    int // AQFT depth; qft.Full for the full transform
-	Model    noise.Model
+	// AddCut is the addition-step rotation cutoff (arith.Config.AddCut,
+	// the E6 ablation knob); 0 means arith.FullAdd and is omitted from
+	// checkpoint payloads, which keeps every other point's bytes.
+	AddCut int `json:",omitempty"`
+	Model  noise.Model
 	// OrderX and OrderY are each operand's order of superposition (the
 	// paper sweeps 1:1, 1:2, 2:2; for addition the order-2 operand of a
 	// 1:2 instance is the updated register y, per Sec. 4).
@@ -292,52 +296,22 @@ func (g Geometry) cacheKey(acfg arith.Config, pcfg compile.Config) backend.Circu
 	}
 }
 
-// PointOptions selects how RunPoint runs one point beyond its config.
-type PointOptions struct {
-	// AddCut is the addition-step rotation cutoff (arith.Config.AddCut,
-	// the E6 ablation knob); 0 means arith.FullAdd.
-	AddCut int
-	// Key names the point inside Checkpoint.
-	Key string
-	// Checkpoint, when non-nil, makes the point durable: a point already
-	// stored under Key is returned without simulating, and a freshly run
-	// point is recorded under Key before RunPoint returns.
-	Checkpoint CheckpointStore
-}
-
 // RunPoint simulates every operand instance of one plotted point on the
-// runner's shared worker pool and aggregates the paper's statistics.
-// The circuit compiles through cfg.Pipeline, memoized in the runner's
-// cache under the pipeline hash; an invalid pipeline or a debug-mode
-// verification failure surfaces as an error. Cancelling ctx stops
-// scheduling further instances and returns ctx.Err().
-func RunPoint(ctx context.Context, r *backend.Runner, cfg PointConfig, opts PointOptions) (PointResult, error) {
-	if opts.Checkpoint != nil {
-		if pr, ok, err := lookupPoint(opts.Checkpoint, opts.Key); ok || err != nil {
-			return pr, err
-		}
+// runner's shared worker pool and aggregates the paper's statistics;
+// it is the one instance loop every point runs through. The circuit
+// compiles through cfg.Pipeline, memoized in the runner's cache under
+// the pipeline hash; an invalid pipeline or a debug-mode verification
+// failure surfaces as an error. When the pipeline routed the circuit,
+// each instance's input embeds through the artifact's InitialLayout and
+// the measured register is read at its FinalLayout homes; otherwise the
+// logical register indices are the physical ones and no instance pays
+// for a remap. Cancelling ctx stops scheduling further instances and
+// returns ctx.Err().
+func RunPoint(ctx context.Context, r *backend.Runner, cfg PointConfig) (PointResult, error) {
+	acfg := arith.Config{Depth: cfg.Depth, AddCut: cfg.AddCut}
+	if acfg.AddCut == 0 {
+		acfg.AddCut = arith.FullAdd
 	}
-	addCut := opts.AddCut
-	if addCut == 0 {
-		addCut = arith.FullAdd
-	}
-	pr, err := runPoint(ctx, r, cfg, addCut)
-	if err == nil && opts.Checkpoint != nil {
-		err = opts.Checkpoint.AppendPoint(opts.Key, pr)
-	}
-	if err != nil {
-		return PointResult{}, err
-	}
-	return pr, nil
-}
-
-// runPoint is the one instance loop every point runs through. When the
-// pipeline routed the circuit, each instance's input embeds through the
-// artifact's InitialLayout and the measured register is read at its
-// FinalLayout homes; otherwise the logical register indices are the
-// physical ones and no instance pays for a remap.
-func runPoint(ctx context.Context, r *backend.Runner, cfg PointConfig, addCut int) (PointResult, error) {
-	acfg := arith.Config{Depth: cfg.Depth, AddCut: addCut}
 	art, err := r.Cache().GetCompiled(cfg.Geometry.cacheKey(acfg, cfg.Pipeline), func() (*compile.Artifact, error) {
 		return cfg.Geometry.BuildArtifact(acfg, cfg.Pipeline)
 	})

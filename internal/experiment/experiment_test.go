@@ -31,7 +31,7 @@ func smallAddPoint(model noise.Model, orderX, orderY int) experiment.PointConfig
 // slots.
 func runPoint(t testing.TB, cfg experiment.PointConfig) experiment.PointResult {
 	t.Helper()
-	r, err := experiment.RunPoint(context.Background(), newTrajRunner(cfg.Workers), cfg, experiment.PointOptions{})
+	r, err := experiment.RunPoint(context.Background(), newTrajRunner(cfg.Workers), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"qfarith/internal/compile"
+	"qfarith/internal/noise"
+	"qfarith/internal/qft"
 )
 
 // TestSweepSpecWireFormatFrozen pins the JSON encoding of SweepSpec —
@@ -142,6 +145,17 @@ func TestSweepRequestRefusals(t *testing.T) {
 		{"claim axis", SweepRequest{Command: "claim-2q", Axis: "1q"}, "claim-2q fixes"},
 		{"claim orders", SweepRequest{Command: "claim-2q", Orders: "1:1"}, "claim-2q fixes"},
 		{"claim rates", SweepRequest{Command: "claim-2q", RatesPct: []float64{0.7}}, "claim-2q fixes"},
+		{"unknown command", SweepRequest{Command: "fig9"}, `unknown command "fig9"`},
+		{"empty command", SweepRequest{}, `unknown command ""`},
+		{"scaling width", SweepRequest{Command: "scaling", Widths: []int{4, 1}}, "width 1 < 2"},
+		{"scaling rate", SweepRequest{Command: "scaling", RatesPct: []float64{150}}, "rate 150% out of range"},
+		{"scaling budget", SweepRequest{Command: "scaling", Budget: "quick"}, "not a budget"},
+		{"scaling axis", SweepRequest{Command: "scaling", Axis: "2q"}, "scaling fixes"},
+		{"routing route pass", SweepRequest{Command: "ablate-routing",
+			Pipeline: compile.Config{Passes: []string{"decompose", "route", "fuse"}, Coupling: "linear:15"}}, "drop \"route\""},
+		{"routing p2", SweepRequest{Command: "ablate-routing", P2: func() *float64 { p := 1.5; return &p }()}, "p2 1.5 out of range"},
+		{"routing rates", SweepRequest{Command: "ablate-routing", RatesPct: []float64{1}}, "ablate-routing fixes"},
+		{"addcut orders", SweepRequest{Command: "ablate-addcut", Orders: "1:1"}, "ablate-addcut fixes"},
 	} {
 		_, err := c.req.Spec()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -172,12 +186,6 @@ func TestSweepRequestDefaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("default spec:\n got %+v\nwant %+v", got, want)
-	}
-	// A non-figure command validates the same fields but leaves the
-	// geometry to its caller.
-	other, err := SweepRequest{Command: "ablate-addcut"}.Spec()
-	if err != nil || other.Depths != nil || other.Geometry.TotalQubits != 0 {
-		t.Errorf("ablate-addcut spec = %+v, %v; want no geometry", other, err)
 	}
 }
 
@@ -231,5 +239,97 @@ func TestClaim2QSpecMatchesHandBuiltLoop(t *testing.T) {
 	}
 	if panels[0].Label != "claim-2q_2q_12" || panels[1].Label != "claim-2q_2q_22" {
 		t.Errorf("panel labels %s, %s; want claim-2q_2q_12, claim-2q_2q_22", panels[0].Label, panels[1].Label)
+	}
+}
+
+// TestCommandSpecsMatchHandBuiltLoops: the scaling, ablate-routing and
+// ablate-addcut specs' Panels yield exactly the points those commands
+// used to build in their own loops — geometry, depth, model, seeds,
+// pipeline and cutoff — in the same order, one panel per width,
+// topology and cutoff.
+func TestCommandSpecsMatchHandBuiltLoops(t *testing.T) {
+	pipeline := compile.Config{Passes: []string{compile.PassDecompose, compile.PassFuse}}
+	type want struct {
+		labels []string
+		points []PointConfig
+	}
+	var scaling want
+	for _, n := range []int{4, 5} {
+		scaling.labels = append(scaling.labels, map[int]string{4: "scaling_n04", 5: "scaling_n05"}[n])
+		depths := map[int][]int{4: {1, 2, 3, qft.Full}, 5: {1, 2, 3, 4, qft.Full}}[n]
+		for _, p2 := range []float64{0.01, 0.03} {
+			for _, d := range depths {
+				scaling.points = append(scaling.points, PointConfig{
+					Geometry: AddGeometry(n-1, n), Depth: d, Model: noise.PaperModel(0, p2),
+					OrderX: 1, OrderY: 2, Instances: 3, Shots: 64, Trajectories: 2,
+					RowSeed:   SplitSeed(77, uint64(n)),
+					PointSeed: SplitSeed(78, uint64(n)<<16|uint64(d)<<8|uint64(p2*1000)),
+					Pipeline:  pipeline, Scorers: []string{"xeb"},
+				})
+			}
+		}
+	}
+	var routing want
+	for _, tp := range []struct{ label, coupling string }{
+		{"all-to-all", ""}, {"heavyhex27", "heavyhex27"}, {"grid3x5", "grid:3x5"}, {"linear15", "linear:15"},
+	} {
+		routing.labels = append(routing.labels, "ablate-routing_"+tp.label)
+		pl := pipeline
+		if tp.coupling != "" {
+			pl = compile.Config{Passes: []string{compile.PassDecompose, compile.PassRoute, compile.PassFuse}, Coupling: tp.coupling}
+		}
+		routing.points = append(routing.points, PointConfig{
+			Geometry: PaperAddGeometry(), Depth: 3, Model: noise.PaperModel(0.002, 0.007),
+			OrderX: 1, OrderY: 2, Instances: 30, Shots: 2048, Trajectories: 24,
+			RowSeed: 1001, PointSeed: 1002, Pipeline: pl,
+		})
+	}
+	var addcut want
+	for _, cut := range []int{1, 2, 3, 4, 6, 8} {
+		addcut.labels = append(addcut.labels, fmt.Sprintf("ablate-addcut_cut%d", cut))
+		for i, model := range []noise.Model{noise.Noiseless, noise.PaperModel(0, 0.01)} {
+			addcut.points = append(addcut.points, PointConfig{
+				Geometry: PaperAddGeometry(), Depth: qft.Full, AddCut: cut, Model: model,
+				OrderX: 2, OrderY: 2, Instances: Quick.Instances, Shots: Quick.Shots, Trajectories: Quick.Trajectories,
+				RowSeed: SplitSeed(777, 0x22), PointSeed: SplitSeed(777, uint64(cut)<<8|uint64(i)),
+				Pipeline: pipeline,
+			})
+		}
+	}
+	p2 := 0.007
+	for _, c := range []struct {
+		req  SweepRequest
+		want want
+	}{
+		{SweepRequest{Command: "scaling", Widths: []int{4, 5}, RatesPct: []float64{1, 3},
+			Instances: 3, Shots: 64, Trajectories: 2, Scorers: []string{"xeb"}}, scaling},
+		{SweepRequest{Command: "ablate-routing", P2: &p2}, routing},
+		{SweepRequest{Command: "ablate-addcut", Budget: "quick", Seed: 777}, addcut},
+	} {
+		c.req.Pipeline = pipeline
+		spec, err := c.req.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		panels, keys := spec.Panels(pipeline, 0)
+		var labels []string
+		var got []PointConfig
+		for _, pj := range panels {
+			labels = append(labels, pj.Label)
+			for _, row := range pj.Grid {
+				got = append(got, row...)
+			}
+		}
+		if !reflect.DeepEqual(labels, c.want.labels) {
+			t.Errorf("%s panels %v, want %v", spec.Command, labels, c.want.labels)
+		}
+		if len(got) != len(c.want.points) || len(keys) != len(got) {
+			t.Fatalf("%s enumerates %d points and %d keys, want %d", spec.Command, len(got), len(keys), len(c.want.points))
+		}
+		for i, w := range c.want.points {
+			if g := got[i]; math.Float64bits(g.Model.TwoQubit) != math.Float64bits(w.Model.TwoQubit) || !reflect.DeepEqual(g, w) {
+				t.Errorf("%s point %d = %+v, want %+v", spec.Command, i, g, w)
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"qfarith/internal/experiment"
 	"qfarith/internal/noise"
 	"qfarith/internal/runstore"
+	"qfarith/internal/telemetry"
 	"qfarith/internal/transpile"
 )
 
@@ -136,7 +137,8 @@ func TestPanelResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestPanelCheckpointFullRerunIsFree: resuming a fully checkpointed run
-// simulates nothing and still reproduces the CSV exactly.
+// simulates nothing, counts every cell as restored, and still
+// reproduces the CSV exactly.
 func TestPanelCheckpointFullRerunIsFree(t *testing.T) {
 	pc := smallSweepPanel()
 	dir := filepath.Join(t.TempDir(), "run")
@@ -150,6 +152,8 @@ func TestPanelCheckpointFullRerunIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := telemetry.Default().Counter("qfarith_points_total", telemetry.L("kind", "restored"))
+	before := restored.Value()
 	freshCalls, restoredCalls := 0, 0
 	second, err := experiment.RunPanel(context.Background(), newTrajRunner(4), pc, experiment.PanelOptions{Label: "p", Checkpoint: run, Progress: func(p experiment.Progress) {
 		if p.FromCheckpoint {
@@ -166,6 +170,8 @@ func TestPanelCheckpointFullRerunIsFree(t *testing.T) {
 	}
 	if total := len(pc.Rates) * len(pc.Depths); restoredCalls != total {
 		t.Errorf("restored callbacks = %d, want %d", restoredCalls, total)
+	} else if d := restored.Value() - before; d != uint64(total) {
+		t.Errorf("restored counter advanced by %d, want %d", d, total)
 	}
 	if first.CSV() != second.CSV() {
 		t.Error("restored-only panel CSV differs from computed panel CSV")

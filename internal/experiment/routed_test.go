@@ -2,8 +2,6 @@ package experiment_test
 
 import (
 	"context"
-	"encoding/json"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -115,7 +113,7 @@ func TestPipelineRoutedFig3Noiseless(t *testing.T) {
 				Instances: 4, Shots: 256, Trajectories: 2,
 				RowSeed: 5, PointSeed: 6,
 			}, coupling)
-			pr, err := experiment.RunPoint(context.Background(), r, cfg, experiment.PointOptions{})
+			pr, err := experiment.RunPoint(context.Background(), r, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,68 +134,4 @@ type countingBackend struct {
 func (c *countingBackend) Run(ctx context.Context, spec backend.PointSpec) (backend.Distribution, backend.Diagnostics, error) {
 	c.calls.Add(1)
 	return c.Backend.Run(ctx, spec)
-}
-
-// memStore is an in-memory CheckpointStore.
-type memStore struct {
-	mu sync.Mutex
-	m  map[string]json.RawMessage
-}
-
-func (s *memStore) LookupPoint(key string) (json.RawMessage, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, ok := s.m[key]
-	return raw, ok
-}
-
-func (s *memStore) AppendPoint(key string, payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = raw
-	return nil
-}
-
-// TestRunPointCheckpointRestores: with a Checkpoint, RunPoint records a
-// fresh point under its key, and a second call returns the stored
-// payload without touching the backend.
-func TestRunPointCheckpointRestores(t *testing.T) {
-	restored := telemetry.Default().Counter("qfarith_points_total", telemetry.L("kind", "restored"))
-	cfg := smallAddPoint(noise.PaperModel(0.002, 0.01), 1, 2)
-	ck := &memStore{m: map[string]json.RawMessage{}}
-	opts := experiment.PointOptions{Key: "p", Checkpoint: ck}
-
-	first := &countingBackend{Backend: backend.NewTrajectoryBackend()}
-	want, err := experiment.RunPoint(context.Background(), backend.NewRunner(first, 2), cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := first.calls.Load(); n != int64(cfg.Instances) {
-		t.Fatalf("fresh point ran %d instances, want %d", n, cfg.Instances)
-	}
-	if _, ok := ck.LookupPoint("p"); !ok {
-		t.Fatal("fresh point was not checkpointed")
-	}
-
-	second := &countingBackend{Backend: backend.NewTrajectoryBackend()}
-	before := restored.Value()
-	got, err := experiment.RunPoint(context.Background(), backend.NewRunner(second, 2), cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := second.calls.Load(); n != 0 {
-		t.Errorf("restored point ran %d backend instances, want 0", n)
-	}
-	if d := restored.Value() - before; d != 1 {
-		t.Errorf("restored counter advanced by %d, want 1", d)
-	}
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("restored point differs from the computed one:\n got %s\nwant %s", gotJSON, wantJSON)
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"qfarith/internal/arith"
 	"qfarith/internal/backend"
 	"qfarith/internal/circuit"
 	"qfarith/internal/compile"
@@ -110,8 +109,8 @@ type PanelResult struct {
 }
 
 // PointAt builds the PointConfig for the grid cell at (rate, depth) —
-// the single source of truth for panel seeds, shared by the sequential
-// and parallel paths.
+// the seed rule of every figure panel (SweepSpec.Panels starts the
+// other commands' points from it too).
 func (cfg PanelConfig) PointAt(rate float64, depth int) PointConfig {
 	model := noise.Noiseless
 	if rate > 0 {
@@ -198,7 +197,8 @@ func RunPanelCheckpointCtx(ctx context.Context, r *backend.Runner, cfg PanelConf
 }
 
 // RunPanel sweeps all (rate, depth) combinations of a panel on the
-// given runner. Each admitted grid point runs as a coordinator
+// given runner, cell (rate, depth) being cfg.PointAt(rate, depth).
+// Each admitted grid point runs as a coordinator
 // goroutine whose operand instances draw from the runner's single
 // bounded worker pool, so panel-level and instance-level parallelism
 // share one slot budget. Results land at their (rate, depth) grid
@@ -226,6 +226,13 @@ func RunPanelCheckpointCtx(ctx context.Context, r *backend.Runner, cfg PanelConf
 // no new instances are scheduled, in-flight instances drain, and
 // ctx.Err() is returned.
 func RunPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, opts PanelOptions) (PanelResult, error) {
+	return runGrid(ctx, r, cfg, func(i, j int) PointConfig { return cfg.PointAt(cfg.Rates[i], cfg.Depths[j]) }, opts)
+}
+
+// runGrid is RunPanel over the grid point(i, j) builds for each cell
+// (rate i, depth j): PointAt for a figure panel, a PanelJob's Grid in
+// RunSweep.
+func runGrid(ctx context.Context, r *backend.Runner, cfg PanelConfig, point func(i, j int) PointConfig, opts PanelOptions) (PanelResult, error) {
 	panel, shard, ck, progress := opts.Label, opts.Shard, opts.Checkpoint, opts.Progress
 	out := PanelResult{Config: cfg, Points: make([][]PointResult, len(cfg.Rates))}
 	for i := range out.Points {
@@ -267,8 +274,8 @@ func RunPanel(ctx context.Context, r *backend.Runner, cfg PanelConfig, opts Pane
 		return firstErr == nil
 	}
 grid:
-	for i, rate := range cfg.Rates {
-		for j, d := range cfg.Depths {
+	for i := range cfg.Rates {
+		for j := range cfg.Depths {
 			key := ""
 			if ck != nil || shard.Enabled() {
 				key = PointKey(panel, i, j)
@@ -302,7 +309,7 @@ grid:
 			wg.Add(1)
 			go func(i, j int, key string, pc PointConfig) {
 				defer wg.Done()
-				pr, err := runPoint(ctx, r, pc, arith.FullAdd)
+				pr, err := RunPoint(ctx, r, pc)
 				<-window
 				if err == nil && ck != nil {
 					// Record before acknowledging: a crash after the
@@ -321,7 +328,7 @@ grid:
 				if progress != nil {
 					progress(Progress{Done: done, Fresh: fresh, Restored: restored, Total: total, Point: pr})
 				}
-			}(i, j, key, cfg.PointAt(rate, d))
+			}(i, j, key, point(i, j))
 		}
 	}
 	wg.Wait()

@@ -124,7 +124,7 @@ func (cfg PointConfig) sampleAndScore(sc *instanceScratch, idx int, xs, ys []int
 	counts := sc.countsBuf(len(dist))
 	sc.sampler.CountsInto(sc.sample, dist, cfg.Shots, counts)
 	correct := cfg.correctSorted(sc, xs, ys)
-	ir := metrics.ScoreSorted(counts, correct)
+	ir := metrics.Score(counts, correct)
 	shotsTotal.Add(uint64(cfg.Shots))
 	ir.Fidelity = metrics.ClassicalFidelity(ideal, dist)
 	sp.End()
@@ -161,7 +161,7 @@ func (cfg PointConfig) InstanceOperands(idx int) (xs, ys []int) {
 }
 
 // correctSorted writes the instance's expected-output set into the
-// scratch's correct buffer, sorted and deduplicated for ScoreSorted.
+// scratch's correct buffer, sorted and deduplicated for Score.
 func (cfg PointConfig) correctSorted(sc *instanceScratch, xs, ys []int) []int {
 	if cap(sc.correct) == 0 {
 		sc.correct = make([]int, 0, 8)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"qfarith/internal/backend"
@@ -13,20 +14,28 @@ import (
 	"qfarith/internal/sim"
 )
 
-// correctSet returns the expected output values for the operands, as
-// the map metrics.Score reads.
-func (cfg PointConfig) correctSet(xs, ys []int) map[int]bool {
+// correctSet returns the expected output values for the operands,
+// built from the allocating map forms and sorted as metrics.Score reads
+// them.
+func (cfg PointConfig) correctSet(xs, ys []int) []int {
 	g := cfg.Geometry
+	var set map[int]bool
 	switch g.Op {
 	case OpAdd:
-		return metrics.CorrectSums(xs, ys, g.OutBits)
+		set = metrics.CorrectSums(xs, ys, g.OutBits)
 	case OpSub:
-		return metrics.CorrectDiffs(xs, ys, g.OutBits)
+		set = metrics.CorrectDiffs(xs, ys, g.OutBits)
 	case OpMulSigned:
-		return metrics.CorrectSignedProducts(xs, ys, g.XBits, g.YBits)
+		set = metrics.CorrectSignedProducts(xs, ys, g.XBits, g.YBits)
 	default:
-		return metrics.CorrectProducts(xs, ys, g.OutBits)
+		set = metrics.CorrectProducts(xs, ys, g.OutBits)
 	}
+	sorted := make([]int, 0, len(set))
+	for v := range set {
+		sorted = append(sorted, v)
+	}
+	slices.Sort(sorted)
+	return sorted
 }
 
 // TestRunPointSamplerEquivalence is the bit-exactness contract of the

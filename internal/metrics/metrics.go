@@ -32,44 +32,16 @@ type InstanceResult struct {
 }
 
 // Score evaluates one instance: counts is the output histogram and
-// correct the set of expected-correct output values (deduplicated by the
-// caller if operand collisions merged outcomes). Following the paper, an
-// instance is unsuccessful iff any incorrect output possesses MORE
-// counts than any one of the correct outputs; an exact tie therefore
-// still counts as success, with margin zero.
+// correct the expected-correct output values, sorted ascending (the
+// Correct*Into builders' form; duplicates a caller failed to collapse
+// count once, and values beyond the histogram range are ignored).
+// Following the paper, an instance is unsuccessful iff any incorrect
+// output possesses MORE counts than any one of the correct outputs; an
+// exact tie therefore still counts as success, with margin zero.
 //
 // Score only reads its arguments and retains neither, so both may be
 // pooled buffers the caller recycles immediately after the call.
-func Score(counts []int, correct map[int]bool) InstanceResult {
-	if len(correct) == 0 {
-		panic("metrics: no correct outputs specified")
-	}
-	minCorrect := math.MaxInt
-	maxIncorrect := 0
-	for v, c := range counts {
-		if correct[v] {
-			if c < minCorrect {
-				minCorrect = c
-			}
-		} else if c > maxIncorrect {
-			maxIncorrect = c
-		}
-	}
-	if minCorrect == math.MaxInt {
-		minCorrect = 0 // all outputs marked correct
-	}
-	margin := minCorrect - maxIncorrect
-	return InstanceResult{Success: margin >= 0, Margin: margin}
-}
-
-// ScoreSorted is Score with the correct set given as a sorted
-// (ascending, deduplicated) slice instead of a map, so the zero-alloc
-// instance tail can score a pooled histogram against a pooled correct
-// buffer without building a map per instance. The result is identical
-// to Score over the equivalent set: entries beyond the histogram range
-// are ignored exactly as map entries no output value reaches would be.
-// Neither argument is retained.
-func ScoreSorted(counts []int, correct []int) InstanceResult {
+func Score(counts []int, correct []int) InstanceResult {
 	if len(correct) == 0 {
 		panic("metrics: no correct outputs specified")
 	}
@@ -192,7 +164,7 @@ func CorrectProducts(xs, ys []int, w int) map[int]bool {
 // CorrectSumsInto is the pooled-buffer companion of CorrectSums: it
 // writes the sorted, deduplicated expected sums into dst (reusing its
 // capacity, growing only when needed) and returns the slice, ready for
-// ScoreSorted. The operand superpositions are tiny (the paper sweeps
+// Score. The operand superpositions are tiny (the paper sweeps
 // orders up to 2:2, i.e. at most four products), so the sort is
 // effectively free.
 func CorrectSumsInto(dst []int, xs, ys []int, w int) []int {

@@ -15,7 +15,7 @@ func TestScoreSingleCorrectOutput(t *testing.T) {
 	counts[5] = 1800
 	counts[3] = 200
 	counts[9] = 48
-	r := metrics.Score(counts, map[int]bool{5: true})
+	r := metrics.Score(counts, []int{5})
 	if !r.Success || r.Margin != 1600 {
 		t.Fatalf("got %+v, want success with margin 1600", r)
 	}
@@ -25,7 +25,7 @@ func TestScoreFailsWhenIncorrectDominates(t *testing.T) {
 	counts := make([]int, 16)
 	counts[5] = 500
 	counts[3] = 900
-	r := metrics.Score(counts, map[int]bool{5: true})
+	r := metrics.Score(counts, []int{5})
 	if r.Success || r.Margin != -400 {
 		t.Fatalf("got %+v, want failure with margin -400", r)
 	}
@@ -35,7 +35,7 @@ func TestScoreSuperposedOutputs(t *testing.T) {
 	// Four correct outputs; failure requires an incorrect output with
 	// more counts than ANY single correct output.
 	counts := make([]int, 256)
-	correct := map[int]bool{10: true, 20: true, 30: true, 40: true}
+	correct := []int{10, 20, 30, 40}
 	counts[10], counts[20], counts[30], counts[40] = 600, 500, 450, 300
 	counts[99] = 299
 	if r := metrics.Score(counts, correct); !r.Success || r.Margin != 1 {
@@ -53,7 +53,7 @@ func TestScoreTieIsSuccess(t *testing.T) {
 	counts := make([]int, 8)
 	counts[1] = 400
 	counts[2] = 400
-	r := metrics.Score(counts, map[int]bool{1: true})
+	r := metrics.Score(counts, []int{1})
 	if !r.Success || r.Margin != 0 {
 		t.Fatalf("got %+v, want tie-success with margin 0", r)
 	}
@@ -63,7 +63,7 @@ func TestScoreZeroCorrectCounts(t *testing.T) {
 	// The correct output never appeared: worst case failure.
 	counts := make([]int, 8)
 	counts[0] = 2048
-	r := metrics.Score(counts, map[int]bool{5: true})
+	r := metrics.Score(counts, []int{5})
 	if r.Success || r.Margin != -2048 {
 		t.Fatalf("got %+v", r)
 	}
@@ -172,7 +172,7 @@ func TestTopOutcomes(t *testing.T) {
 func TestScorePropertySuccessIffMarginNonNegative(t *testing.T) {
 	prop := func(c0, c1, c2, c3 uint16) bool {
 		counts := []int{int(c0), int(c1), int(c2), int(c3)}
-		r := metrics.Score(counts, map[int]bool{0: true, 2: true})
+		r := metrics.Score(counts, []int{0, 2})
 		return r.Success == (r.Margin >= 0)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -180,11 +180,30 @@ func TestScorePropertySuccessIffMarginNonNegative(t *testing.T) {
 	}
 }
 
-// TestScoreSortedMatchesScore is the equivalence property the pooled
+// scoreMap is the paper's metric over the correct set as a map, the
+// independent oracle Score's sorted-slice walk is checked against.
+func scoreMap(counts []int, correct map[int]bool) metrics.InstanceResult {
+	minCorrect := math.MaxInt
+	maxIncorrect := 0
+	for v, c := range counts {
+		if correct[v] {
+			minCorrect = min(minCorrect, c)
+		} else {
+			maxIncorrect = max(maxIncorrect, c)
+		}
+	}
+	if minCorrect == math.MaxInt {
+		minCorrect = 0 // no correct output within the histogram range
+	}
+	margin := minCorrect - maxIncorrect
+	return metrics.InstanceResult{Success: margin >= 0, Margin: margin}
+}
+
+// TestScoreMatchesMapOracle is the equivalence property the pooled
 // instance tail relies on: over random histograms and random correct
-// sets, ScoreSorted on the sorted-slice form must reproduce Score on
-// the map form exactly.
-func TestScoreSortedMatchesScore(t *testing.T) {
+// sets, Score on the sorted-slice form must reproduce the map-form
+// oracle exactly.
+func TestScoreMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(51, 53))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.IntN(300)
@@ -208,40 +227,40 @@ func TestScoreSortedMatchesScore(t *testing.T) {
 			}
 		}
 		slices.Sort(sorted)
-		want := metrics.Score(counts, correctMap)
-		got := metrics.ScoreSorted(counts, sorted)
+		want := scoreMap(counts, correctMap)
+		got := metrics.Score(counts, sorted)
 		if got != want {
-			t.Fatalf("trial %d: ScoreSorted = %+v, Score = %+v (counts=%v correct=%v)",
+			t.Fatalf("trial %d: Score = %+v, oracle = %+v (counts=%v correct=%v)",
 				trial, got, want, counts, sorted)
 		}
 	}
 }
 
-func TestScoreSortedEdgeCases(t *testing.T) {
+func TestScoreEdgeCases(t *testing.T) {
 	// All bins correct: maxIncorrect stays 0.
-	all := metrics.ScoreSorted([]int{5, 7, 3}, []int{0, 1, 2})
+	all := metrics.Score([]int{5, 7, 3}, []int{0, 1, 2})
 	if !all.Success || all.Margin != 3 {
 		t.Errorf("all-correct: %+v, want success margin 3", all)
 	}
 	// Correct values beyond the histogram range are ignored, like map
 	// entries no outcome reaches.
-	out := metrics.ScoreSorted([]int{5, 7}, []int{1, 99})
-	want := metrics.Score([]int{5, 7}, map[int]bool{1: true, 99: true})
+	out := metrics.Score([]int{5, 7}, []int{1, 99})
+	want := scoreMap([]int{5, 7}, map[int]bool{1: true, 99: true})
 	if out != want {
-		t.Errorf("out-of-range correct: ScoreSorted %+v, Score %+v", out, want)
+		t.Errorf("out-of-range correct: Score %+v, oracle %+v", out, want)
 	}
 	// Duplicate entries collapse like map keys.
-	dup := metrics.ScoreSorted([]int{5, 7, 2}, []int{1, 1, 2})
-	wantDup := metrics.Score([]int{5, 7, 2}, map[int]bool{1: true, 2: true})
+	dup := metrics.Score([]int{5, 7, 2}, []int{1, 1, 2})
+	wantDup := scoreMap([]int{5, 7, 2}, map[int]bool{1: true, 2: true})
 	if dup != wantDup {
-		t.Errorf("duplicate correct: ScoreSorted %+v, Score %+v", dup, wantDup)
+		t.Errorf("duplicate correct: Score %+v, oracle %+v", dup, wantDup)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("empty correct set must panic")
 		}
 	}()
-	metrics.ScoreSorted([]int{1}, nil)
+	metrics.Score([]int{1}, nil)
 }
 
 // TestCorrectIntoMatchesMapForms pins the pooled correct-set builders

@@ -130,7 +130,7 @@ func init() {
 // records the margin (min correct − max incorrect counts) and the
 // classical ideal-vs-noisy fidelity; aggregation reproduces
 // Aggregate's six statistics column for column. The experiment layer's
-// frozen fast path (ScoreSorted + ClassicalFidelity + Aggregate) is the
+// frozen fast path (Score + ClassicalFidelity + Aggregate) is the
 // reference implementation; TestMarginScorerMatchesFrozenPath pins this
 // scorer bit-identical to it.
 type marginScorer struct{}
@@ -144,7 +144,7 @@ func (marginScorer) Columns() []string {
 func (marginScorer) NumValues() int { return 2 }
 
 func (marginScorer) ScoreInstance(dst []float64, in ScoreInput) {
-	ir := ScoreSorted(in.Counts, in.Correct)
+	ir := Score(in.Counts, in.Correct)
 	dst[0] = float64(ir.Margin)
 	dst[1] = ClassicalFidelity(in.Ideal, in.Dist)
 }

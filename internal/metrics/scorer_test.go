@@ -63,7 +63,7 @@ func randomInput(rng *rand.Rand) metrics.ScoreInput {
 
 // TestMarginScorerMatchesFrozenPath is the refactor's pin: the
 // registered "margin" scorer must reproduce the experiment layer's
-// historical ScoreSorted + ClassicalFidelity + Aggregate path
+// historical Score + ClassicalFidelity + Aggregate path
 // bit-identically, per instance and per aggregated column, over
 // randomized evidence.
 func TestMarginScorerMatchesFrozenPath(t *testing.T) {
@@ -83,7 +83,7 @@ func TestMarginScorerMatchesFrozenPath(t *testing.T) {
 			in := randomInput(rng)
 			var dst [2]float64
 			s.ScoreInstance(dst[:], in)
-			ir := metrics.ScoreSorted(in.Counts, in.Correct)
+			ir := metrics.Score(in.Counts, in.Correct)
 			ir.Fidelity = metrics.ClassicalFidelity(in.Ideal, in.Dist)
 			if dst[0] != float64(ir.Margin) || dst[1] != ir.Fidelity {
 				t.Fatalf("trial %d inst %d: scorer (%v, %v) vs frozen (%d, %v)",

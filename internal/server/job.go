@@ -1,5 +1,5 @@
 // Package server is the qfarithd daemon's service layer: an HTTP/JSON
-// API for submitting figure sweeps as jobs, a priority scheduler with
+// API for submitting sweeps as jobs, a priority scheduler with
 // per-client fairness, admission control and bounded retry, SSE
 // progress streaming, and run-directory artifact serving.
 //
@@ -59,9 +59,15 @@ const (
 
 // JobRequest is the submit payload of POST /api/v1/jobs. Zero-valued
 // fields take the CLI's defaults, so a request carrying only {"command":
-// "fig3"} is the daemon rendition of `qfarith fig3`.
+// "fig3"} is the daemon rendition of `qfarith fig3`. There is no field
+// for scaling's widths or ablate-routing's p2: such jobs run the CLI
+// defaults.
 type JobRequest struct {
-	// Command is a figure sweep: fig3, fig4, fig3-signed, fig4-signed.
+	// Command is any sweep command the CLI runs through
+	// experiment.RunSweep (experiment.SweepCommands): the figures,
+	// claim-2q, scaling, ablate-routing or ablate-addcut. Fields a
+	// command does not take are refused, and the ones it fixes keep the
+	// CLI defaults.
 	Command string `json:"command"`
 	// Budget is quick|standard|full (default standard), overridable
 	// field by field below, exactly like the CLI flags.
@@ -70,7 +76,8 @@ type JobRequest struct {
 	Shots        int    `json:"shots,omitempty"`
 	Trajectories int    `json:"trajectories,omitempty"`
 	// Seed is the base RNG seed; 0 selects the CLI's default seed so
-	// unadorned requests and unadorned CLI runs agree.
+	// unadorned requests and unadorned CLI runs agree. scaling and
+	// ablate-routing seed their points with fixed constants.
 	Seed uint64 `json:"seed,omitempty"`
 	// Axis is 1q|2q|both (default both).
 	Axis string `json:"axis,omitempty"`
@@ -98,9 +105,6 @@ const defaultSeed = 20260704
 // (experiment.SweepRequest.Spec), with the daemon's backend name filled
 // in. Every validation failure is a client error (HTTP 400).
 func (r JobRequest) Spec(backendName string) (experiment.SweepSpec, error) {
-	if _, _, ok := experiment.FigureSweep(r.Command); !ok {
-		return experiment.SweepSpec{}, fmt.Errorf("unknown command %q (want fig3, fig4, fig3-signed or fig4-signed)", r.Command)
-	}
 	seed := r.Seed
 	if seed == 0 {
 		seed = defaultSeed

@@ -34,7 +34,13 @@ func TestJobRequestDefaults(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(cli, got) {
 		t.Errorf("CLI default spec %+v (%v) differs from the daemon's", cli, err)
 	}
-	if _, err := (JobRequest{Command: "claim-2q"}).Spec("trajectory"); err == nil {
-		t.Error("daemon accepted a non-figure command")
+	if _, err := (JobRequest{Command: "fig9"}).Spec("trajectory"); err == nil {
+		t.Error("daemon accepted an unknown command")
+	}
+	// Every sweep command is admitted with the CLI defaults.
+	for _, cmd := range experiment.SweepCommands {
+		if _, err := (JobRequest{Command: cmd}).Spec("trajectory"); err != nil {
+			t.Errorf("daemon refused %s: %v", cmd, err)
+		}
 	}
 }

@@ -305,6 +305,44 @@ func TestServerJobByteIdentity(t *testing.T) {
 	}
 }
 
+// TestServerClaim2QJobMatchesRunSweep: the daemon admits claim-2q, a
+// fixed-grid sweep, and its job writes both panel CSVs byte-identical
+// to the ones experiment.RunSweep writes for the same spec.
+func TestServerClaim2QJobMatchesRunSweep(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := JobRequest{Command: "claim-2q", Budget: "quick", Instances: 2, Shots: 64, Trajectories: 2, Seed: 777}
+	st := submitJob(t, ts, req)
+	if final := waitTerminal(t, ts, st.ID); final.State != StateDone {
+		t.Fatalf("claim-2q job finished %s (%s), want done", final.State, final.Error)
+	}
+	spec, err := req.Spec(s.cfg.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := t.TempDir()
+	if _, err := experiment.RunSweep(context.Background(), s.exec.Runner, spec, experiment.SweepOptions{OutDir: ref}); err != nil {
+		t.Fatal(err)
+	}
+	panels, _ := spec.Panels(compile.Config{}, 0)
+	if len(panels) != 2 {
+		t.Fatalf("claim-2q enumerates %d panels, want 2", len(panels))
+	}
+	for _, pj := range panels {
+		name := pj.Label + ".csv"
+		got, err := os.ReadFile(filepath.Join(s.cfg.DataDir, st.ID, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(ref, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("job %s differs from RunSweep's:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
 // TestServerCancelMidJob cancels a running job and checks it finalizes
 // as cancelled with a resumable run directory: the checkpoint log holds
 // every point completed before the cancel, and the config hash still

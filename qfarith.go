@@ -21,6 +21,7 @@ package qfarith
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"qfarith/internal/backend"
 	"qfarith/internal/experiment"
@@ -235,7 +236,12 @@ func runResult(o Options, geo experiment.Geometry, res *transpile.Result, initia
 	}
 	sampler := sim.NewSampler(o.Seed^0x9e3779b97f4a7c15, o.Seed)
 	counts := sampler.Counts(dist, o.Shots)
-	score := metrics.Score(counts, expected)
+	correct := make([]int, 0, len(expected))
+	for v := range expected {
+		correct = append(correct, v)
+	}
+	slices.Sort(correct)
+	score := metrics.Score(counts, correct)
 	n1, n2 := res.CountByArity()
 	src := circuitNew(res.NumQubits)
 	src.Ops = append(src.Ops, res.Source...)
