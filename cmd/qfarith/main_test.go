@@ -88,7 +88,7 @@ func TestSweepFlagDefaults(t *testing.T) {
 			t.Errorf("%s default spec\n got %+v\nwant %+v", name, sf.spec, want)
 		}
 		_, _, figure := experiment.FigureSweep(name)
-		if wantOut := map[bool]string{true: "results"}[figure || name == "claim-2q"]; sf.outDir != wantOut {
+		if wantOut := map[bool]string{true: "out"}[figure || name == "claim-2q"]; sf.outDir != wantOut {
 			t.Errorf("%s -out default %q, want %q", name, sf.outDir, wantOut)
 		}
 		if sf.rundir != "" || sf.resume || sf.shard.Enabled() || sf.workers != 0 {

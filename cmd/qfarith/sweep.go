@@ -81,7 +81,7 @@ func parseSweep(name string, args []string, stderr io.Writer) (*sweepFlags, erro
 	}
 	sf := &sweepFlags{}
 	if figure || name == "claim-2q" {
-		fs.StringVar(&sf.outDir, "out", "results", "output directory for CSV files")
+		fs.StringVar(&sf.outDir, "out", "out", "output directory for CSV files")
 	}
 	shard, scorers := "", "margin"
 	if name != "ablate-addcut" {

@@ -20,7 +20,8 @@
 //
 // SIGTERM/SIGINT triggers a graceful drain: queued jobs are cancelled,
 // running jobs are interrupted after their checkpoint logs have
-// absorbed every completed point, and the process exits 0 once the
+// absorbed every completed point, the daemon's lifetime telemetry is
+// snapshotted to DATA/telemetry.json, and the process exits 0 once the
 // drain completes (non-zero if -drain-timeout expires first).
 //
 // The telemetry/debug surface (/metrics, /debug/vars, /debug/pprof/) is
@@ -39,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -124,8 +126,14 @@ func run(args []string) int {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("drain: %v", err)
+	drainErr := srv.Drain(ctx)
+	// One snapshot of the registry for the daemon's whole lifetime: job
+	// directories carry none, since every job shares this registry.
+	if err := telemetry.Default().WriteSnapshotFile(filepath.Join(*data, "telemetry.json")); err != nil {
+		log.Printf("telemetry snapshot: %v", err)
+	}
+	if drainErr != nil {
+		log.Printf("drain: %v", drainErr)
 		hs.Close()
 		return 1
 	}

@@ -1,8 +1,9 @@
 // Package runstore makes long sweeps durable. Every run owns a
 // directory holding a JSON manifest (config hash, seeds, backend,
 // git-describe, start time) and an append-only per-point checkpoint log
-// (points.jsonl, one fsync'd record per completed point), so a killed
-// or crashed sweep loses at most the points still in flight. A panel
+// (points.jsonl, one record per completed point, acknowledged only
+// after an fsync covers it), so a killed or crashed sweep loses at most
+// the points still in flight. A panel
 // runs at most W = workers + 1 points at a time, so that is about W
 // points' compute: the running points plus any whose record was still
 // being written. A resumed run verifies the manifest's config hash,
@@ -35,13 +36,30 @@ import (
 	"qfarith/internal/telemetry"
 )
 
-// Checkpoint telemetry: how many points have been durably appended and
-// the latency of the per-record fsync — the dominant cost of the
+// Checkpoint telemetry: how many point records have been durably
+// appended, and the latency of each log flush's fsync (one sample per
+// flush, which may cover several records) — the dominant cost of the
 // append-before-acknowledge protocol on slow disks.
 var (
 	ckptAppends  = telemetry.Default().Counter("qfarith_checkpoint_appends_total")
 	ckptFsyncSec = telemetry.Default().Histogram("qfarith_checkpoint_fsync_seconds")
 )
+
+// commitLog is the checkpoint log's only write path: one write of buf
+// and one fsync of f. It is a variable so tests can inject write and
+// sync failures.
+var commitLog = func(f *os.File, buf []byte) error {
+	if _, err := f.Write(buf); err != nil {
+		return fmt.Errorf("write: %w", err)
+	}
+	sp := telemetry.StartSpan(ckptFsyncSec)
+	err := f.Sync()
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("fsync: %w", err)
+	}
+	return nil
+}
 
 const (
 	manifestName = "manifest.json"
@@ -91,6 +109,31 @@ type Run struct {
 	log      *os.File
 	points   map[string]json.RawMessage
 	restored int
+
+	// Group commit state (see AppendPoint), guarded by mu: the lines
+	// and records queued for the next flush, the sequence numbers of
+	// the last queued and the last durable record, whether a flush is
+	// in flight, and the sticky error of the first failed flush.
+	// flushed is signalled (on mu) whenever a flush ends.
+	queue    []byte
+	queued   []queuedPoint
+	seq      uint64
+	durable  uint64
+	flushing bool
+	failed   error
+	flushed  sync.Cond
+}
+
+// queuedPoint is a record waiting in the group commit queue.
+type queuedPoint struct {
+	key string
+	raw json.RawMessage
+}
+
+func newRun(dir string, m Manifest, log *os.File, points map[string]json.RawMessage, restored int) *Run {
+	r := &Run{dir: dir, manifest: m, log: log, points: points, restored: restored}
+	r.flushed.L = &r.mu
+	return r
 }
 
 // ErrConfigMismatch reports a run directory whose manifest was written
@@ -116,38 +159,59 @@ type pointRecord struct {
 // are fsynced, so a crash after the first acknowledged point cannot
 // lose the log or the directory holding it.
 func Create(dir string, m Manifest) (*Run, error) {
+	run, syncs, err := create(dir, m)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDirs(syncs); err != nil {
+		run.Close()
+		return nil, fmt.Errorf("runstore: create %s: %w", dir, err)
+	}
+	return run, nil
+}
+
+// create claims dir — MkdirAll, then the O_EXCL manifest, fsynced —
+// and opens the empty checkpoint log, but leaves the directory entries
+// unsynced: it returns the directories whose syncs make them durable,
+// dir first, then the parent of each directory MkdirAll created.
+func create(dir string, m Manifest) (*Run, []string, error) {
 	created := missingDirs(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
+		return nil, nil, fmt.Errorf("runstore: %w", err)
 	}
 	mpath := filepath.Join(dir, manifestName)
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("runstore: marshal manifest: %w", err)
+		return nil, nil, fmt.Errorf("runstore: marshal manifest: %w", err)
 	}
 	if err := writeFileExcl(mpath, append(data, '\n')); err != nil {
 		if os.IsExist(err) {
-			return nil, fmt.Errorf("runstore: %s already holds a run (use Resume)", dir)
+			return nil, nil, fmt.Errorf("runstore: %s already holds a run (use Resume)", dir)
 		}
-		return nil, fmt.Errorf("runstore: write manifest: %w", err)
+		return nil, nil, fmt.Errorf("runstore: write manifest: %w", err)
 	}
 	log, err := os.OpenFile(filepath.Join(dir, pointsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("runstore: open checkpoint log: %w", err)
+		return nil, nil, fmt.Errorf("runstore: open checkpoint log: %w", err)
 	}
-	// One sync of dir covers both new entries; then each directory
-	// MkdirAll created needs its own entry synced in its parent.
+	// One sync of dir covers every entry made in it; then each
+	// directory MkdirAll created needs its own entry synced in its
+	// parent.
 	syncs := []string{dir}
 	for _, d := range created {
 		syncs = append(syncs, filepath.Dir(d))
 	}
-	for _, d := range syncs {
+	return newRun(dir, m, log, map[string]json.RawMessage{}, 0), syncs, nil
+}
+
+// syncDirs fsyncs each of dirs in order, stopping at the first error.
+func syncDirs(dirs []string) error {
+	for _, d := range dirs {
 		if err := syncDir(d); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("runstore: create %s: %w", dir, err)
+			return err
 		}
 	}
-	return &Run{dir: dir, manifest: m, log: log, points: map[string]json.RawMessage{}}, nil
+	return nil
 }
 
 // missingDirs lists dir and each of its ancestors that does not exist
@@ -168,8 +232,9 @@ func missingDirs(dir string) []string {
 // Resume reopens an existing run directory, verifies its manifest's
 // config hash against wantHash (skipped when wantHash is empty), and
 // loads the checkpoint log. A torn final line — the signature of a
-// crash mid-append — is dropped; any earlier corruption is an error,
-// since fsync-per-record should make it impossible.
+// crash mid-append — is dropped, and cut from the log before anything
+// is appended after it; any earlier corruption is an error, since no
+// write follows an unsynced one.
 func Resume(dir, wantHash string) (*Run, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -183,7 +248,7 @@ func Resume(dir, wantHash string) (*Run, error) {
 		return nil, fmt.Errorf("runstore: %w: run %s was started with %s, current config hashes to %s (refusing to mix results)",
 			ErrConfigMismatch, dir, m.ConfigHash, wantHash)
 	}
-	points, restored, err := loadPoints(filepath.Join(dir, pointsName))
+	points, tail, err := loadPoints(filepath.Join(dir, pointsName))
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +256,41 @@ func Resume(dir, wantHash string) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: open checkpoint log: %w", err)
 	}
-	return &Run{dir: dir, manifest: m, log: log, points: points, restored: restored}, nil
+	if err := tail.repair(log); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("runstore: repair checkpoint log tail: %w", err)
+	}
+	// The restored count is the number of distinct keys, not records: a
+	// log holding re-appended duplicates (e.g. after merging overlapping
+	// shards) collapses in the map and must not over-report.
+	return newRun(dir, m, log, points, len(points)), nil
+}
+
+// logTail is how a checkpoint log must be mended before records are
+// appended to it: a torn final record is cut at torn (-1 when there is
+// none), and a complete final record whose newline never reached the
+// disk gets one. Otherwise the next append would run on from the
+// unterminated line and turn it into mid-log corruption.
+type logTail struct {
+	torn    int64
+	unended bool
+}
+
+// repair applies t to the log open for appending in f.
+func (t logTail) repair(f *os.File) error {
+	switch {
+	case t.torn >= 0:
+		if err := f.Truncate(t.torn); err != nil {
+			return err
+		}
+	case t.unended:
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+	default:
+		return nil
+	}
+	return f.Sync()
 }
 
 // Open is the one way a sweep claims its run directory. It hashes spec
@@ -202,6 +301,11 @@ func Resume(dir, wantHash string) (*Run, error) {
 // mismatch, and refuses a run started as another shard than m.Shard.
 // keys is the full grid's checkpoint-key list: every shard records the
 // same list.
+//
+// A created run is durable when Open returns, as with Create, but the
+// three files share one directory sync: the manifest claim and both
+// sidecars are each fsynced, then dir is synced once, plus the parent
+// of every directory Open had to create.
 func Open(dir string, m Manifest, spec any, keys []string, resume bool) (*Run, error) {
 	hash, err := HashConfig(spec)
 	if err != nil {
@@ -217,12 +321,17 @@ func Open(dir string, m Manifest, spec any, keys []string, resume bool) (*Run, e
 		return run, err
 	}
 	m.ConfigHash, m.StartTime = hash, time.Now().UTC()
-	run, err := Create(dir, m)
+	run, syncs, err := create(dir, m)
 	if err != nil {
 		return nil, err
 	}
-	if err = WriteSpec(dir, spec); err == nil {
-		err = WriteExpectedKeys(dir, keys)
+	if err = writeJSON(filepath.Join(dir, specName), "spec", spec); err == nil {
+		err = writeJSON(filepath.Join(dir, keysName), "keys", keys)
+	}
+	if err == nil {
+		if err = syncDirs(syncs); err != nil {
+			err = fmt.Errorf("runstore: create %s: %w", dir, err)
+		}
 	}
 	if err != nil {
 		// Give up the claim, so a retry creates the run afresh instead
@@ -234,52 +343,70 @@ func Open(dir string, m Manifest, spec any, keys []string, resume bool) (*Run, e
 	return run, nil
 }
 
-func loadPoints(path string) (map[string]json.RawMessage, int, error) {
+// loadPoints reads a checkpoint log into a key → payload map and
+// reports how its end must be repaired before appending (see logTail).
+func loadPoints(path string) (map[string]json.RawMessage, logTail, error) {
 	points := map[string]json.RawMessage{}
+	tail := logTail{torn: -1}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return points, 0, nil
+		return points, tail, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("runstore: %w", err)
+		return nil, tail, fmt.Errorf("runstore: %w", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	// Lines keep their newline, so offsets into the file stay exact.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
 	var pendingErr error
 	badLine, lastLine := 0, 0
+	var off, badOff int64
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		lastLine = lineNo
-		line := bytes.TrimSpace(sc.Bytes())
+		raw := sc.Bytes()
+		start := off
+		off += int64(len(raw))
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
 		if pendingErr != nil {
 			// The bad line was not the final one: real corruption.
-			return nil, 0, pendingErr
+			return nil, tail, pendingErr
 		}
 		var rec pointRecord
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
 			pendingErr = fmt.Errorf("runstore: corrupt checkpoint record at %s:%d", path, lineNo)
-			badLine = lineNo
+			badLine, badOff = lineNo, start
 			continue
 		}
 		points[rec.Key] = rec.Point
+		tail.unended = raw[len(raw)-1] != '\n'
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("runstore: read checkpoint log: %w", err)
+		return nil, tail, fmt.Errorf("runstore: read checkpoint log: %w", err)
 	}
 	// A torn append writes a prefix of one record and nothing after it,
 	// so only a bad record on the literally last line of the file may be
 	// forgiven. A bad record followed by anything — even blank lines —
 	// means something was written after it: real corruption.
-	if pendingErr != nil && badLine != lastLine {
-		return nil, 0, pendingErr
+	if pendingErr != nil {
+		if badLine != lastLine {
+			return nil, tail, pendingErr
+		}
+		tail.torn = badOff
 	}
-	// The restored count is the number of distinct keys, not records: a
-	// log holding re-appended duplicates (e.g. after merging overlapping
-	// shards) collapses in the map and must not over-report.
-	return points, len(points), nil
+	return points, tail, nil
 }
 
 // Dir returns the run directory path.
@@ -303,8 +430,21 @@ func (r *Run) LookupPoint(key string) (json.RawMessage, bool) {
 	return raw, ok
 }
 
-// AppendPoint marshals payload, appends the record to points.jsonl and
-// fsyncs it, so an acknowledged point survives any subsequent crash.
+// AppendPoint marshals payload and appends the record to points.jsonl.
+// It returns nil only once an fsync covering the record has completed,
+// so an acknowledged point survives any subsequent crash, and only then
+// does LookupPoint see the record.
+//
+// Concurrent appends share fsyncs by group commit, with no timer: the
+// first appender whose record is not yet durable and which finds no
+// flush in flight becomes the flusher. It writes every queued line in
+// one write, fsyncs once and wakes the waiters; records queued during
+// that flush go out together in the next one. An uncontended append
+// costs one write and one fsync.
+//
+// A failed write or fsync fails every append of its batch and every
+// later append on this Run: after a failed fsync the kernel may have
+// dropped the dirty pages, so no later sync could prove them written.
 func (r *Run) AppendPoint(key string, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -314,30 +454,63 @@ func (r *Run) AppendPoint(key string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("runstore: marshal record %q: %w", key, err)
 	}
-	line = append(line, '\n')
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.log == nil {
 		return fmt.Errorf("runstore: checkpoint log for %q is closed", key)
 	}
-	if _, err := r.log.Write(line); err != nil {
-		return fmt.Errorf("runstore: append point %q: %w", key, err)
+	if r.failed != nil {
+		return fmt.Errorf("runstore: append point %q: checkpoint log failed earlier: %w", key, r.failed)
 	}
-	sp := telemetry.StartSpan(ckptFsyncSec)
-	err = r.log.Sync()
-	sp.End()
-	if err != nil {
-		return fmt.Errorf("runstore: fsync point %q: %w", key, err)
+	r.queue = append(append(r.queue, line...), '\n')
+	r.queued = append(r.queued, queuedPoint{key: key, raw: raw})
+	r.seq++
+	seq := r.seq
+	for r.durable < seq && r.failed == nil {
+		if r.flushing {
+			r.flushed.Wait()
+		} else {
+			r.flush()
+		}
 	}
-	ckptAppends.Inc()
-	r.points[key] = raw
+	if r.durable < seq {
+		return fmt.Errorf("runstore: append point %q: %w", key, r.failed)
+	}
 	return nil
 }
 
-// Close flushes and closes the checkpoint log. Safe to call twice.
+// flush commits every queued record with one commitLog call. It is
+// called with r.mu held and releases it for the I/O.
+func (r *Run) flush() {
+	f, buf, batch, end := r.log, r.queue, r.queued, r.seq
+	r.queue, r.queued = nil, nil
+	r.flushing = true
+	r.mu.Unlock()
+	err := commitLog(f, buf)
+	r.mu.Lock()
+	r.flushing = false
+	if err != nil {
+		// The records queued behind the failed batch are never written:
+		// their appenders see the sticky error.
+		r.failed, r.queue, r.queued = err, nil, nil
+	} else {
+		for _, p := range batch {
+			r.points[p.key] = p.raw
+		}
+		ckptAppends.Add(uint64(len(batch)))
+		r.durable = end
+	}
+	r.flushed.Broadcast()
+}
+
+// Close waits for a flush in flight and the records queued behind it,
+// then closes the checkpoint log. Safe to call twice.
 func (r *Run) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for r.flushing || (len(r.queued) > 0 && r.failed == nil) {
+		r.flushed.Wait()
+	}
 	if r.log == nil {
 		return nil
 	}
@@ -357,9 +530,26 @@ func HashConfig(v any) (string, error) {
 	return hex.EncodeToString(sum[:16]), nil
 }
 
+// gitDescribed memoizes GitDescribe: absolute directory → func() string.
+var gitDescribed sync.Map
+
 // GitDescribe returns `git describe --always --dirty` for dir, or ""
 // when git or the repository is unavailable (manifests omit it then).
+// It runs git once per directory per process: every later manifest
+// names the tree the process first saw, as the daemon's startup
+// resolution always has.
 func GitDescribe(dir string) string {
+	if abs, err := filepath.Abs(dir); err == nil {
+		dir = abs
+	}
+	f, ok := gitDescribed.Load(dir)
+	if !ok {
+		f, _ = gitDescribed.LoadOrStore(dir, sync.OnceValue(func() string { return gitDescribe(dir) }))
+	}
+	return f.(func() string)()
+}
+
+func gitDescribe(dir string) string {
 	cmd := exec.Command("git", "describe", "--always", "--dirty")
 	cmd.Dir = dir
 	out, err := cmd.Output()
@@ -470,11 +660,10 @@ const (
 
 // WriteSpec durably records the full sweep specification in dir.
 func WriteSpec(dir string, spec any) error {
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: marshal spec: %w", err)
+	if err := writeJSON(filepath.Join(dir, specName), "spec", spec); err != nil {
+		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, specName), append(data, '\n'))
+	return syncRunDir(dir)
 }
 
 // ReadSpec unmarshals dir's sweep specification into spec. ok is false
@@ -497,11 +686,21 @@ func ReadSpec(dir string, spec any) (ok bool, err error) {
 // dir. Every shard of a sweep writes the same full list — ownership is
 // a filter over it, not a different grid.
 func WriteExpectedKeys(dir string, keys []string) error {
-	data, err := json.MarshalIndent(keys, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: marshal keys: %w", err)
+	if err := writeJSON(filepath.Join(dir, keysName), "keys", keys); err != nil {
+		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, keysName), append(data, '\n'))
+	return syncRunDir(dir)
+}
+
+// writeJSON writes v as an indented JSON sidecar at path through
+// replaceFile; the caller syncs the directory. what names the sidecar
+// in errors.
+func writeJSON(path, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("runstore: marshal %s: %w", what, err)
+	}
+	return replaceFile(path, append(data, '\n'))
 }
 
 // ReadExpectedKeys returns dir's expected checkpoint-key list, or
@@ -524,8 +723,25 @@ func ReadExpectedKeys(dir string) ([]string, error) {
 // writeFileAtomic writes data to path via a same-directory temp file,
 // fsync, rename, and directory fsync.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err := replaceFile(path, data); err != nil {
+		return err
+	}
+	return syncRunDir(filepath.Dir(path))
+}
+
+// syncRunDir is syncDir with the package's error prefix.
+func syncRunDir(dir string) error {
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("runstore: %w", err)
+	}
+	return nil
+}
+
+// replaceFile writes data to a same-directory temp file, fsyncs it and
+// renames it over path. The rename is durable only once the caller
+// syncs the directory.
+func replaceFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
@@ -547,9 +763,6 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("runstore: rename %s: %w", path, err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil
 }

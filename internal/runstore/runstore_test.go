@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -158,19 +159,27 @@ func TestOpen(t *testing.T) {
 }
 
 // TestOpenSidecarFailureReleasesClaim: when a sidecar cannot be
-// written (here a directory squats on spec.json), Open fails and
-// leaves no manifest, so a retry creates the run afresh instead of
-// resuming one without its spec.
+// written (here a directory squats on spec.json or keys.json), Open
+// fails and leaves no manifest and no temp file, so a retry creates
+// the run afresh instead of resuming one without its sidecars.
 func TestOpenSidecarFailureReleasesClaim(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "run")
-	if err := os.MkdirAll(filepath.Join(dir, "spec.json", "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runstore.Open(dir, runstore.Manifest{Command: "fig3"}, 1, nil, false); err == nil {
-		t.Fatal("Open succeeded without writing spec.json")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
-		t.Errorf("failed Open left a manifest behind (stat err %v)", err)
+	for _, sidecar := range []string{"spec.json", "keys.json"} {
+		dir := filepath.Join(t.TempDir(), "run")
+		if err := os.MkdirAll(filepath.Join(dir, sidecar, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runstore.Open(dir, runstore.Manifest{Command: "fig3"}, 1, nil, false); err == nil {
+			t.Fatalf("Open succeeded without writing %s", sidecar)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() == "manifest.json" || strings.Contains(e.Name(), ".tmp-") {
+				t.Errorf("Open failing on %s left %s behind", sidecar, e.Name())
+			}
+		}
 	}
 }
 
@@ -492,4 +501,32 @@ func TestWriteArtifactAtomicUnderConcurrentReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestGitDescribeResolvesOnce: GitDescribe runs git once per directory
+// per process, so a second call answers even with git out of reach.
+func TestGitDescribeResolvesOnce(t *testing.T) {
+	git, err := exec.LookPath("git")
+	if err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"init", "-q"},
+		{"-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "--allow-empty", "-m", "init"},
+	} {
+		cmd := exec.Command(git, args...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Skipf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	first := runstore.GitDescribe(dir)
+	if first == "" {
+		t.Fatal("GitDescribe of a fresh repository is empty")
+	}
+	t.Setenv("PATH", "")
+	if got := runstore.GitDescribe(dir); got != first {
+		t.Errorf("second GitDescribe = %q, want the first call's %q", got, first)
+	}
 }

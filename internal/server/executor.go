@@ -13,7 +13,6 @@ import (
 	"qfarith/internal/compile"
 	"qfarith/internal/experiment"
 	"qfarith/internal/runstore"
-	"qfarith/internal/telemetry"
 )
 
 // SweepExecutor runs jobs through the exact path the CLI uses:
@@ -75,12 +74,10 @@ func (e *SweepExecutor) Execute(ctx context.Context, j *Job) error {
 		return retryable(err)
 	}
 	j.setDir(dir)
-	defer func() {
-		run.Close()
-		// Snapshot process metrics beside the artifacts, as the CLI's
-		// exit path does; best-effort.
-		_ = telemetry.Default().WriteSnapshotFile(filepath.Join(dir, "telemetry.json"))
-	}()
+	// No telemetry.json here: the registry is the daemon's, not the
+	// job's, so qfarithd snapshots it once, into the data directory,
+	// when it drains.
+	defer run.Close()
 
 	j.resetProgress(len(keys))
 	_, err = experiment.RunSweep(ctx, e.Runner, *spec, experiment.SweepOptions{

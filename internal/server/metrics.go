@@ -7,9 +7,9 @@ import (
 )
 
 // Telemetry handles for the daemon. Everything registers on the default
-// registry so the shared debug mux (and the telemetry.json snapshot a
-// job writes beside its artifacts) sees scheduler and simulation
-// metrics side by side.
+// registry so the shared debug mux (and the telemetry.json snapshot
+// qfarithd writes into its data directory at drain) sees scheduler and
+// simulation metrics side by side.
 //
 // Label values come from closed sets: priorities are the nine admission
 // levels, outcomes the fixed lifecycle verbs, and HTTP routes the

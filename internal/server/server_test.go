@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -274,13 +275,20 @@ func TestServerJobByteIdentity(t *testing.T) {
 	}
 	resp.Body.Close()
 	found := false
+	var names []string
 	for _, ai := range infos {
+		names = append(names, ai.Name)
 		if ai.Name == "fig3_2q_11.csv" {
 			found = ai.Verified
 		}
 	}
 	if !found {
 		t.Errorf("artifact listing missing verified fig3_2q_11.csv: %+v", infos)
+	}
+	// The job directory is the run and nothing else: no leftover temp
+	// files, and no telemetry.json, since the registry is the daemon's.
+	if want := []string{"fig3_2q_11.csv", "keys.json", "manifest.json", "points.jsonl", "spec.json"}; !slices.Equal(names, want) {
+		t.Errorf("job directory holds %v, want %v", names, want)
 	}
 
 	// The manifest still records the tree the daemon started from,
@@ -665,4 +673,49 @@ func TestRetryableClassifiesStorageErrors(t *testing.T) {
 			t.Errorf("%v: transient = %v, want %v", c.err, got, c.transient)
 		}
 	}
+}
+
+// TestServerForgetsOldFinishedJobs: once the table holds 2×keptJobs
+// jobs, a submission forgets the oldest finished ones down to keptJobs;
+// queued or running jobs are kept whatever their age.
+func TestServerForgetsOldFinishedJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	running := map[string]bool{"old-0000": true, "old-0500": true}
+	s.mu.Lock()
+	for i := 0; i < 2*keptJobs-1; i++ {
+		id := fmt.Sprintf("old-%04d", i)
+		j := newJob(id, JobRequest{}, experiment.SweepSpec{}, DefaultPriority, time.Now())
+		if !running[id] {
+			j.setState(StateDone, "")
+		}
+		s.jobs[id] = j
+		s.order = append(s.order, id)
+	}
+	s.mu.Unlock()
+
+	st := submitJob(t, ts, quickAddRequest(781))
+	s.mu.Lock()
+	order := append([]string(nil), s.order...)
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if len(order) != keptJobs || n != keptJobs {
+		t.Fatalf("table holds %d listed and %d stored jobs, want %d", len(order), n, keptJobs)
+	}
+	want := []string{"old-0000", "old-0500"}
+	for i := 2*keptJobs - 1 - (keptJobs - 3); i < 2*keptJobs-1; i++ {
+		want = append(want, fmt.Sprintf("old-%04d", i))
+	}
+	want = append(want, st.ID)
+	if !slices.Equal(order, want) {
+		t.Errorf("kept %v … %v, want %v … %v", order[:3], order[len(order)-2:], want[:3], want[len(want)-2:])
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/old-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status of a forgotten job: %d, want 404", resp.StatusCode)
+	}
+	waitTerminal(t, ts, st.ID)
 }

@@ -289,15 +289,18 @@ func (s *State) Z(q int) {
 	}
 }
 
-// H applies a Hadamard on qubit q.
+// H applies a Hadamard on qubit q. The 1/√2 scale is applied to each
+// component as a real: complex(inv, 0)*u would compile to a full
+// complex multiply for the same bits (up to the sign of an exact zero).
 func (s *State) H(q int) {
 	const inv = 1 / math.Sqrt2
 	step := 1 << uint(q)
 	for g := 0; g < len(s.amps); g += 2 * step {
 		for i := g; i < g+step; i++ {
 			a0, a1 := s.amps[i], s.amps[i+step]
-			s.amps[i] = complex(inv, 0) * (a0 + a1)
-			s.amps[i+step] = complex(inv, 0) * (a0 - a1)
+			u, v := a0+a1, a0-a1
+			s.amps[i] = complex(inv*real(u), inv*imag(u))
+			s.amps[i+step] = complex(inv*real(v), inv*imag(v))
 		}
 	}
 }

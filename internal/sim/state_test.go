@@ -239,3 +239,53 @@ func TestPauliKernelsSelfInverse(t *testing.T) {
 		}
 	}
 }
+
+// TestHMatchesComplexScale: H's real scaling gives the bits of the
+// complex multiply complex(1/√2, 0)*(a0±a1) on every nonzero component
+// and the same probabilities everywhere; only the sign of an exact
+// zero may differ.
+func TestHMatchesComplexScale(t *testing.T) {
+	const inv = 1 / math.Sqrt2
+	rng := testutil.NewRand(17)
+	const n = 5
+	for trial := 0; trial < 50; trial++ {
+		amps := make([]complex128, 1<<n)
+		for i := range amps {
+			re, im := rng.NormFloat64(), rng.NormFloat64()
+			switch rng.IntN(4) { // exact zeros, and pairs that cancel
+			case 0:
+				re = 0
+			case 1:
+				im = 0
+			}
+			amps[i] = complex(re, im)
+		}
+		amps[1] = amps[0] // a0-a1 is exactly zero on qubit 0
+		for q := 0; q < n; q++ {
+			st := sim.NewState(n)
+			st.SetAmplitudes(amps)
+			in := append([]complex128(nil), st.Amps()...)
+			st.H(q)
+			step := 1 << q
+			for i := range in {
+				if i&step != 0 {
+					continue
+				}
+				a0, a1 := in[i], in[i+step]
+				for k, want := range [2]complex128{complex(inv, 0) * (a0 + a1), complex(inv, 0) * (a0 - a1)} {
+					got := st.Amps()[i+k*step]
+					for _, c := range [2][2]float64{{real(got), real(want)}, {imag(got), imag(want)}} {
+						if c[1] != 0 && math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+							t.Fatalf("trial %d H(%d) amp %d: got %v, want %v", trial, q, i+k*step, got, want)
+						}
+					}
+					pg := real(got)*real(got) + imag(got)*imag(got)
+					pw := real(want)*real(want) + imag(want)*imag(want)
+					if math.Float64bits(pg) != math.Float64bits(pw) {
+						t.Fatalf("trial %d H(%d) amp %d: probability %v, want %v", trial, q, i+k*step, pg, pw)
+					}
+				}
+			}
+		}
+	}
+}
