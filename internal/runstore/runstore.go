@@ -325,8 +325,8 @@ func Open(dir string, m Manifest, spec any, keys []string, resume bool) (*Run, e
 	if err != nil {
 		return nil, err
 	}
-	if err = writeJSON(filepath.Join(dir, specName), "spec", spec); err == nil {
-		err = writeJSON(filepath.Join(dir, keysName), "keys", keys)
+	if err = writeJSON(filepath.Join(dir, specName), spec); err == nil {
+		err = writeJSON(filepath.Join(dir, keysName), keys)
 	}
 	if err == nil {
 		if err = syncDirs(syncs); err != nil {
@@ -660,7 +660,7 @@ const (
 
 // WriteSpec durably records the full sweep specification in dir.
 func WriteSpec(dir string, spec any) error {
-	if err := writeJSON(filepath.Join(dir, specName), "spec", spec); err != nil {
+	if err := writeJSON(filepath.Join(dir, specName), spec); err != nil {
 		return err
 	}
 	return syncRunDir(dir)
@@ -686,19 +686,18 @@ func ReadSpec(dir string, spec any) (ok bool, err error) {
 // dir. Every shard of a sweep writes the same full list — ownership is
 // a filter over it, not a different grid.
 func WriteExpectedKeys(dir string, keys []string) error {
-	if err := writeJSON(filepath.Join(dir, keysName), "keys", keys); err != nil {
+	if err := writeJSON(filepath.Join(dir, keysName), keys); err != nil {
 		return err
 	}
 	return syncRunDir(dir)
 }
 
 // writeJSON writes v as an indented JSON sidecar at path through
-// replaceFile; the caller syncs the directory. what names the sidecar
-// in errors.
-func writeJSON(path, what string, v any) error {
+// replaceFile; the caller syncs the directory.
+func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("runstore: marshal %s: %w", what, err)
+		return fmt.Errorf("runstore: marshal %s: %w", filepath.Base(path), err)
 	}
 	return replaceFile(path, append(data, '\n'))
 }
