@@ -57,14 +57,6 @@ type Server struct {
 	nextID int
 }
 
-// keptJobs bounds the job table: once it holds twice this many jobs,
-// the oldest finished ones are forgotten until it holds keptJobs
-// again. A forgotten job's status and artifacts are no longer served,
-// but its run directory stays on disk for the CLI. Without a bound the
-// table grows by about half a kilobyte per job for the daemon's whole
-// lifetime.
-const keptJobs = 1024
-
 // New builds a Server and starts its scheduler workers.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
@@ -227,9 +219,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.nextID++
 		s.jobs[id] = j
 		s.order = append(s.order, id)
-		if len(s.order) >= 2*keptJobs {
-			s.forgetFinishedLocked(len(s.order) - keptJobs)
-		}
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -242,22 +231,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/api/v1/jobs/"+id)
 	writeJSON(w, http.StatusCreated, j.Status())
-}
-
-// forgetFinishedLocked drops up to n of the oldest finished jobs from
-// the table, skipping jobs still queued or running. s.mu must be held.
-func (s *Server) forgetFinishedLocked(n int) {
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if n > 0 && s.jobs[id].State().terminal() {
-			delete(s.jobs, id)
-			n--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	clear(s.order[len(kept):])
-	s.order = kept
 }
 
 // handleList returns every known job in submission order, optionally

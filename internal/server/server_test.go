@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -556,6 +557,86 @@ func TestServerAdmissionHTTP(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentRefusals: when concurrent submissions overflow
+// the queue, the job list holds exactly the admitted jobs — a refusal
+// never removes another submission's entry.
+func TestServerConcurrentRefusals(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.sched.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	s.sched = NewScheduler(1, 2, 0, func(ctx context.Context, j *Job) error {
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	defer s.sched.Drain(context.Background())
+	defer close(release)
+
+	const n = 16
+	ids := make(chan string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			body, _ := json.Marshal(quickAddRequest(seed))
+			resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusCreated:
+				var st JobStatus
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Error(err)
+					return
+				}
+				ids <- st.ID
+			case http.StatusTooManyRequests:
+			default:
+				t.Errorf("submit = %d, want 201 or 429", resp.StatusCode)
+			}
+		}(uint64(i + 1))
+	}
+	wg.Wait()
+	close(ids)
+	var admitted []string
+	for id := range ids {
+		admitted = append(admitted, id)
+	}
+	if len(admitted) == 0 || len(admitted) == n {
+		t.Fatalf("%d of %d submissions admitted, want some refused", len(admitted), n)
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, st := range list {
+		listed = append(listed, st.ID)
+	}
+	slices.Sort(admitted)
+	if !slices.Equal(listed, admitted) {
+		t.Errorf("job list %v, want the admitted jobs %v", listed, admitted)
+	}
+}
+
 // TestServerSharedTelemetryMux is the port-conflict regression test:
 // with TelemetryMux set, one listener serves the job API, /metrics and
 // /debug/vars together — no second port to collide with.
@@ -673,49 +754,4 @@ func TestRetryableClassifiesStorageErrors(t *testing.T) {
 			t.Errorf("%v: transient = %v, want %v", c.err, got, c.transient)
 		}
 	}
-}
-
-// TestServerForgetsOldFinishedJobs: once the table holds 2×keptJobs
-// jobs, a submission forgets the oldest finished ones down to keptJobs;
-// queued or running jobs are kept whatever their age.
-func TestServerForgetsOldFinishedJobs(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	running := map[string]bool{"old-0000": true, "old-0500": true}
-	s.mu.Lock()
-	for i := 0; i < 2*keptJobs-1; i++ {
-		id := fmt.Sprintf("old-%04d", i)
-		j := newJob(id, JobRequest{}, experiment.SweepSpec{}, DefaultPriority, time.Now())
-		if !running[id] {
-			j.setState(StateDone, "")
-		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-	}
-	s.mu.Unlock()
-
-	st := submitJob(t, ts, quickAddRequest(781))
-	s.mu.Lock()
-	order := append([]string(nil), s.order...)
-	n := len(s.jobs)
-	s.mu.Unlock()
-	if len(order) != keptJobs || n != keptJobs {
-		t.Fatalf("table holds %d listed and %d stored jobs, want %d", len(order), n, keptJobs)
-	}
-	want := []string{"old-0000", "old-0500"}
-	for i := 2*keptJobs - 1 - (keptJobs - 3); i < 2*keptJobs-1; i++ {
-		want = append(want, fmt.Sprintf("old-%04d", i))
-	}
-	want = append(want, st.ID)
-	if !slices.Equal(order, want) {
-		t.Errorf("kept %v … %v, want %v … %v", order[:3], order[len(order)-2:], want[:3], want[len(want)-2:])
-	}
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/old-0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status of a forgotten job: %d, want 404", resp.StatusCode)
-	}
-	waitTerminal(t, ts, st.ID)
 }
